@@ -4,8 +4,10 @@ Exercises the real deployment surface — a ``python -m repro.serve``
 subprocess, not an in-process server object — and asserts the four
 contracts the serve layer advertises:
 
-1. **Bit-identity**: a served launch returns byte-for-byte the buffers a
-   direct in-process ``launch()`` produces, for all ten paper benchmarks.
+1. **Bit-identity**: a served launch, on the server's default engine,
+   returns byte-for-byte the buffers a direct in-process
+   ``launch(..., backend="interp")`` produces, for all ten paper
+   benchmarks.
 2. **Coalescing**: concurrent byte-identical requests from three tenants
    merge into one launch; the server's own counters prove it
    (``launches + coalesced == completed`` and ``coalesced >= 1``).
@@ -62,8 +64,8 @@ def wait_ready(client: ServeClient, proc: subprocess.Popen) -> None:
 def check_bit_identity(client: ServeClient) -> None:
     verified = _serve_verify(client, tuple(BENCHMARKS))
     bad = [name for name, ok in verified.items() if not ok]
-    assert not bad, f"served buffers differ from direct launch(): {bad}"
-    print(f"[1/4] bit-identity vs direct launch(): "
+    assert not bad, f"served buffers differ from direct interp launch(): {bad}"
+    print(f"[1/4] bit-identity vs direct interp launch(): "
           f"all {len(verified)} benchmarks OK")
 
 

@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import time
+from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -225,6 +226,15 @@ def bench_kernel(
     return record
 
 
+def _host_facts() -> dict:
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def run_bench(
     kernels: Sequence[str] = DEFAULT_KERNELS,
     repeats: int = 3,
@@ -266,12 +276,7 @@ def run_bench(
         sum(sum(r["compile_ms"].values()) for r in records.values()), 3
     )
     report = {
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
+        "host": _host_facts(),
         "config": {
             "kernels": list(kernels),
             "repeats": repeats,
@@ -484,15 +489,16 @@ def _wire_args(bench) -> dict:
 
 
 def _serve_verify(client, kernels: Sequence[str]) -> dict:
-    """Served responses must be bit-identical to direct ``launch()``.
+    """Served responses must be bit-identical to the reference oracle.
 
-    One request per kernel, compared byte-for-byte against an in-process
+    One request per kernel, served on the server's default engine and
+    compared byte-for-byte against an in-process ``backend="interp"``
     baseline launch on the same (deterministic, seeded) arguments.
     """
     verified = {}
     for name in kernels:
         bench = BENCHMARKS[name]()
-        direct = bench.run_baseline()
+        direct = bench.run_baseline(backend="interp")
         resp = client.launch(
             bench.source, bench.grid, bench.block_size, _wire_args(bench),
             const_arrays=bench.const_arrays(), tenant="verify",
@@ -566,6 +572,7 @@ def run_serve_bench(
         barrier = threading.Barrier(tenants)
         latencies: list = [[] for _ in range(tenants)]
         failures = [0] * tenants
+        served_by: list = [Counter() for _ in range(tenants)]
 
         def tenant_loop(tid: int) -> None:
             tenant_client = ServeClient(url)
@@ -594,6 +601,7 @@ def run_serve_bench(
                     failures[tid] += 1
                 else:
                     latencies[tid].append(time.perf_counter() - t0)
+                    served_by[tid][client_resp["backend"]] += 1
 
         t_start = time.perf_counter()
         threads = [
@@ -628,6 +636,7 @@ def run_serve_bench(
         key: after[key] - before[key] for key in after
     }
     return {
+        "host": _host_facts(),
         "config": {
             "url": url,
             "kernels": list(kernels),
@@ -636,6 +645,10 @@ def run_serve_bench(
             "duplicate_every": duplicate_every,
         },
         "verified_bit_identical": verified,
+        # The engine behind every successful response, by its "backend"
+        # field, next to the server's default for requests that name none.
+        "default_backend": stats_after["default_backend"],
+        "backends": dict(sum(served_by, Counter())),
         "requests": total,
         "failures": failed,
         "elapsed_s": round(elapsed, 3),
@@ -686,6 +699,8 @@ def format_serve_report(report: dict) -> str:
         f"coalesced={window.get('coalesced')} "
         f"completed={window.get('completed')} "
         f"shed={window.get('shed_breaker', 0) + window.get('shed_capacity', 0)}",
+        f"engine: default {report['default_backend']}, responses by "
+        f"backend {report['backends']}",
         "bit-identity vs direct launch(): "
         + ("ALL OK" if not bad else f"MISMATCH in {bad}"),
     ]

@@ -45,7 +45,7 @@ from .errors import (
     SyncError,
 )
 from .faults import FaultInjector, FaultSpec, InjectionRecord
-from .launch import LaunchResult, launch, run_kernel
+from .launch import LaunchResult, default_backend, launch, run_kernel
 from .pool import shutdown_pool
 from .racecheck import Sanitizer, SanitizerFinding, SanitizerReport
 from .resilience import (

@@ -41,7 +41,7 @@ import hashlib
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -99,6 +99,9 @@ from .intrinsics import (
     shfl_up,
 )
 from .memory import ConstArray, GlobalBuffer, LocalArray, SharedArray, dtype_for
+
+if TYPE_CHECKING:
+    from ..analysis.resources import ResourceReport
 
 #: ``ExprFn(ctx, mask) -> ndarray | PointerValue | memory object``
 ExprFn = Callable[[WarpContext, np.ndarray], object]
@@ -1572,10 +1575,23 @@ class CompiledKernel:
     #: (compiled via ``compile_kernel(..., profile=True)``; cached under a
     #: separate key so the non-profiled hot path stays wrapper-free).
     profiled: bool = False
+    _resources: Optional[ResourceReport] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def has_barriers(self) -> bool:
         return self.body_is_gen
+
+    def resources(self) -> ResourceReport:
+        """The kernel's :class:`~repro.analysis.resources.ResourceReport`,
+        estimated on first use.  It depends only on the source, so every
+        launch that hits this cached artifact shares it."""
+        if self._resources is None:
+            from ..analysis.resources import estimate_resources
+
+            self._resources = estimate_resources(self.kernel)
+        return self._resources
 
     def warp_iterator(self, ctx: WarpContext, mask: np.ndarray) -> Iterator:
         """The generator the block executor round-robins; a barrier-free

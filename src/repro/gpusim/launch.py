@@ -1,8 +1,9 @@
 """Kernel launch API: the simulator's host-side runtime.
 
 ``launch`` plays the role of ``kernel<<<grid, block>>>(args)``: it allocates
-global buffers for array arguments, runs every thread block through the SIMT
-interpreter (optionally sampling blocks for very large grids), and combines
+global buffers for array arguments, runs every thread block on one of the
+simulator's bit-identical engines (by default the batched megablock engine;
+optionally sampling blocks for very large grids), and combines
 the collected statistics with the occupancy calculator and the Hong–Kim
 timing model into a :class:`LaunchResult`.
 
@@ -50,6 +51,13 @@ from .stats import AccessTrace, KernelStats
 from .timing import TimingResult, estimate_kernel_time
 
 Dim = Union[int, tuple[int, ...]]
+
+
+def default_backend() -> str:
+    """The engine a launch that names none runs: ``GPUSIM_BACKEND`` when
+    set, else ``"megablock"``, the fastest of the bit-identical engines.
+    ``"interp"`` stays the reference oracle, selected explicitly."""
+    return os.environ.get("GPUSIM_BACKEND") or "megablock"
 
 
 def _as_dim3(value: Dim) -> tuple[int, int, int]:
@@ -102,9 +110,9 @@ class LaunchResult:
     #: requested.  One of: "single-block", "trace", "faults", "sanitizer",
     #: "atomics", "unavailable", "worker-fault", "breaker-open".
     parallel_fallback: Optional[str] = None
-    #: Why a *requested* megablock launch (``backend="megablock"``) executed
-    #: blocks through the per-block compiled engine instead of the batched
-    #: block axis; None when batching ran (or was never requested).  One of:
+    #: Why a megablock launch (the default engine) executed blocks through
+    #: the per-block compiled engine instead of the batched block axis;
+    #: None when batching ran or another engine was selected.  One of:
     #: "single-block", "trace", "faults", "sanitizer", "atomic-order" (the
     #: kernel uses atomics but cannot flatten the warp axis, so the batch
     #: could not reproduce sequential atomic order — see
@@ -116,7 +124,7 @@ class LaunchResult:
     #: Whether the batched megablock run folded the warp axis into the batch
     #: (megawarp: one ``(blocks × warps, lanes)`` stack, the only mode that
     #: executes atomics).  True/False when the batched engine ran, None when
-    #: it fell back or was never requested.
+    #: it fell back or another engine was selected.
     megablock_megawarp: Optional[bool] = None
     #: Resilience telemetry of the parallel attempt (attempts, retries,
     #: deadline kills, breaker state, pool lifecycle events), when this
@@ -227,11 +235,14 @@ def launch(
     never-written shared or local elements, are collected — without aborting
     the launch — into :attr:`LaunchResult.sanitizer`.
 
-    ``backend`` selects the execution engine: ``"interp"`` (the reference
-    tree-walking interpreter) or ``"compiled"`` (the closure-compiled engine
-    of :mod:`repro.gpusim.compile`, cached across launches).  ``None`` defers
-    to the ``GPUSIM_BACKEND`` environment variable, defaulting to
-    ``"interp"``.  Both backends produce bit-identical results.
+    ``backend`` selects the execution engine: ``"megablock"`` (the
+    batch-vectorized engine of :mod:`repro.gpusim.megablock`, which runs
+    every block of the grid at once and falls back per block with the
+    reason on :attr:`LaunchResult.megablock_fallback`), ``"compiled"`` (the
+    per-block closure-compiled engine of :mod:`repro.gpusim.compile`), or
+    ``"interp"`` (the tree-walking interpreter, the reference oracle).
+    ``None`` means :func:`default_backend`: ``GPUSIM_BACKEND`` when set,
+    else ``"megablock"``.  All three produce bit-identical results.
 
     ``parallel`` enables the block scheduler: an int worker count, ``True``
     or ``"auto"`` for one worker per CPU (``None`` defers to
@@ -276,9 +287,7 @@ def launch(
         diskcache.configure(cache_dir)
     if on_error not in ("raise", "status"):
         raise ValueError(f"on_error must be 'raise' or 'status', got {on_error!r}")
-    backend_name = (
-        backend if backend is not None else os.environ.get("GPUSIM_BACKEND") or "interp"
-    )
+    backend_name = backend if backend is not None else default_backend()
     if backend_name not in ("interp", "compiled", "megablock"):
         raise ValueError(
             "backend must be 'interp', 'compiled' or 'megablock', "
@@ -354,7 +363,8 @@ def launch(
         # block of this launch.
         # The megablock backend keeps the per-block closure program around
         # too: it is the exact-semantics engine every ineligible or faulted
-        # batch falls back to.
+        # batch falls back to, its digest keys the batched lowering, and it
+        # carries the resource report the occupancy model reads below.
         program = (
             compile_kernel(kernel, profile=profile)
             if backend_name in ("compiled", "megablock")
@@ -436,7 +446,9 @@ def launch(
             elif sanitizer is not None:
                 megablock_fallback = "sanitizer"
             else:
-                candidate = compile_megablock(kernel, profile=profile)
+                candidate = compile_megablock(
+                    kernel, profile=profile, digest=program.digest
+                )
                 if candidate.uses_atomics and not (
                     candidate.atomics_exact
                     and megablock_flatten(
@@ -622,9 +634,12 @@ def launch(
 
     # --- resources / occupancy / timing --------------------------------------
     if usage is None:
-        from ..analysis.resources import estimate_resources
+        if program is not None:
+            report = program.resources()
+        else:
+            from ..analysis.resources import estimate_resources
 
-        report = estimate_resources(kernel)
+            report = estimate_resources(kernel)
         usage = ResourceUsage(
             reg_bytes_per_thread=report.reg_bytes_per_thread,
             shared_bytes_per_block=max(report.shared_bytes_per_block, shared_bytes),

@@ -1854,11 +1854,19 @@ def megablock_flatten(
 
 
 def compile_megablock(
-    kernel: Kernel, cache: bool = True, profile: bool = False
+    kernel: Kernel,
+    cache: bool = True,
+    profile: bool = False,
+    digest: Optional[str] = None,
 ) -> MegaKernel:
     """Lower ``kernel`` to batched closures; artifacts share the per-block
-    LRU under ``#mb`` / ``#mb#prof`` key suffixes."""
-    digest = kernel_digest(kernel) if cache else None
+    LRU under ``#mb`` / ``#mb#prof`` key suffixes.  ``digest`` is the
+    kernel's :func:`~repro.gpusim.compile.kernel_digest` when the caller
+    already holds it, so a launch prints and hashes the kernel once."""
+    if not cache:
+        digest = None
+    elif digest is None:
+        digest = kernel_digest(kernel)
     if digest is None:
         return _mb_lower(kernel, None, profile)
     key = digest + ("#mb#prof" if profile else "#mb")

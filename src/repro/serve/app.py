@@ -9,8 +9,8 @@
   in FIFO order on its own stream.
 - ``GET /healthz`` — liveness: breaker state, pool worker health,
   in-flight count.
-- ``GET /statz`` — full counters: server, per-tenant, batcher, kernel
-  cache, disk cache, breaker.
+- ``GET /statz`` — the default engine and full counters: server,
+  per-tenant, batcher, kernel cache, disk cache, breaker.
 - ``POST /debug/breaker`` — (only with ``debug=True``) force the circuit
   breaker open or reset it, so breaker-aware shedding is testable
   without crashing real workers.
@@ -39,6 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from ..gpusim import pool as gpupool
+from ..gpusim.launch import default_backend
 from ..gpusim.resilience import get_breaker
 from ..prof.registry import record_profile
 from . import metrics
@@ -154,6 +155,8 @@ class ServeHandler(BaseHTTPRequestHandler):
 
             disk = get_disk_cache()
             self._send_json(200, {
+                # The engine a request without options.backend runs on.
+                "default_backend": default_backend(),
                 "counters": self.server.counters.snapshot(),
                 "tenants": self.server.tenants.snapshot(),
                 "batcher": self.server.batcher.snapshot(),

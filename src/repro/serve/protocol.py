@@ -13,15 +13,19 @@ A launch request is one JSON object::
       },
       "const_arrays": { ... same encoding ... },   # optional
       "options": {                                  # all optional
-        "backend": "compiled",            # interp | compiled | megablock
+        "backend": "interp",              # megablock (default) | compiled | interp
         "parallel": 2,                    # worker count for the pool path
         "profile": true,                  # per-line counters in response
         "deadline_ms": 2000               # per-request completion deadline
       }
     }
 
-The response carries the final buffer contents (same ndarray encoding),
-the :class:`~repro.gpusim.stats.KernelStats` counters, the modeled
+A request without ``options.backend`` runs on
+:func:`~repro.gpusim.launch.default_backend` (megablock unless the
+server's ``GPUSIM_BACKEND`` says otherwise).  The response names the
+engine that ran in its ``backend`` field and carries the final buffer
+contents (same ndarray encoding), the
+:class:`~repro.gpusim.stats.KernelStats` counters, the modeled
 milliseconds, the resilience telemetry summary when the pool ran, and —
 with ``"profile": true`` — the per-line profile plus the name it was
 recorded under in the :mod:`repro.prof` registry.

@@ -76,6 +76,21 @@ def test_baseline_bit_identical(benches, name, backend):
     assert_identical(ref, got, f"{name} baseline [{backend}]")
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_default_engine_models_like_interp(benches, name, monkeypatch):
+    """The default engine reads its resource report off the cached
+    lowering instead of estimating it per launch; cold and warm, the
+    modeled usage, occupancy and time must equal the interp launch's."""
+    monkeypatch.delenv("GPUSIM_BACKEND", raising=False)
+    bench = benches[name]
+    ref = bench.run_baseline(backend="interp")
+    model = (ref.usage, ref.occupancy, ref.timing)
+    for _ in range(2):
+        got = bench.run_baseline()
+        assert got.backend == "megablock"
+        assert (got.usage, got.occupancy, got.timing) == model, name
+
+
 @pytest.mark.parametrize("backend", FAST_BACKENDS)
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_np_variant_bit_identical(benches, name, backend):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -151,6 +152,10 @@ def test_serve_bench_schema_round_trips(tmp_path):
     assert report["throughput_rps"] > 0
     # Served responses were byte-for-byte what a direct launch produced.
     assert report["verified_bit_identical"] == {"MC": True}
+    # The report says where it ran and which engine served every response.
+    assert report["host"]["cpu_count"] == os.cpu_count()
+    assert {"python", "numpy"} <= set(report["host"])
+    assert report["backends"] == {report["default_backend"]: 4}
     # Server-side window accounting: every completed request was either a
     # real launch or a coalesced follower.
     window = report["server"]

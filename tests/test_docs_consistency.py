@@ -140,18 +140,27 @@ class TestReadme:
         for column in ("np_transform", "variants_digest", "output_digest"):
             assert column in section, column
 
-    def test_megablock_section_documents_real_api(self):
-        """The Performance section's megablock claims must hold: the
-        backend name validates, the env knob is documented, the fallback
+    def test_megablock_section_documents_real_api(self, monkeypatch):
+        """The Performance section's megablock claims must hold: megablock
+        is the default everywhere the docs say so, the env knob that
+        selects the interp reference oracle is documented, the fallback
         field exists, and every documented fallback reason is one the
         launcher can emit."""
         import inspect
 
-        from repro.gpusim.launch import LaunchResult
+        from repro.gpusim.launch import LaunchResult, default_backend, launch
+        from repro.serve import protocol
 
         readme = (ROOT / "README.md").read_text()
         assert 'backend="megablock"' in readme
-        assert "GPUSIM_BACKEND=megablock" in readme
+        assert "**`megablock`** (default)" in readme
+        assert "GPUSIM_BACKEND=interp" in readme
+        assert "reference oracle" in readme
+        monkeypatch.delenv("GPUSIM_BACKEND", raising=False)
+        assert default_backend() == "megablock"
+        launch_doc = " ".join(launch.__doc__.split())
+        assert 'else ``"megablock"``' in launch_doc
+        assert "megablock (default) | compiled | interp" in protocol.__doc__
         fields = {f.name for f in LaunchResult.__dataclass_fields__.values()}
         assert "megablock_fallback" in fields
         assert "megablock_megawarp" in fields

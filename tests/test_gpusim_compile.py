@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis.resources import estimate_resources
 from repro.gpusim import scheduler
 from repro.gpusim.compile import (
     CompiledKernel,
@@ -21,7 +22,7 @@ from repro.gpusim.compile import (
     kernel_digest,
 )
 from repro.gpusim.errors import SimError
-from repro.gpusim.launch import run_kernel
+from repro.gpusim.launch import default_backend, run_kernel
 from repro.minicuda.parser import parse_kernel
 from repro.npc.config import NpConfig
 from repro.npc.pipeline import (
@@ -227,8 +228,14 @@ class TestEnvToggle:
     def run(self):
         return run_kernel(self.SRC, 1, 32, {"o": np.zeros(32, np.int32)})
 
-    def test_default_is_interp(self, monkeypatch):
+    def test_default_is_megablock(self, monkeypatch):
         monkeypatch.delenv("GPUSIM_BACKEND", raising=False)
+        assert default_backend() == "megablock"
+        assert self.run().backend == "megablock"
+
+    def test_env_selects_interp(self, monkeypatch):
+        monkeypatch.setenv("GPUSIM_BACKEND", "interp")
+        assert default_backend() == "interp"
         assert self.run().backend == "interp"
 
     def test_env_selects_compiled(self, monkeypatch):
@@ -324,6 +331,95 @@ class TestKernelCompileCache:
         assert compile_megablock(k) is mb
         assert compile_megablock(k, profile=True) is mb_prof
         assert mb_prof.profiled and not mb.profiled
+
+
+SHARED_SRC = """
+__global__ void s(float *o) {
+    __shared__ float buf[%d];
+    buf[threadIdx.x] = threadIdx.x;
+    __syncthreads();
+    o[blockIdx.x * blockDim.x + threadIdx.x] = buf[threadIdx.x];
+}
+"""
+
+
+class TestResourceReportCache:
+    """A lowering engine reads the kernel's resource report off its cached
+    artifact, so only the first launch of a source estimates it."""
+
+    def setup_method(self):
+        clear_compile_cache()
+
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        from repro.analysis import resources
+
+        calls = []
+        real = resources.estimate_resources
+
+        def counting(kernel, *args, **kwargs):
+            calls.append(kernel.name)
+            return real(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(resources, "estimate_resources", counting)
+        return calls
+
+    @staticmethod
+    def launch(src, backend="megablock"):
+        return run_kernel(src, 4, 32, {"o": np.zeros(128, np.float32)},
+                          backend=backend)
+
+    @pytest.mark.parametrize("backend", ["compiled", "megablock"])
+    def test_second_launch_reuses_report(self, estimates, backend):
+        src = SHARED_SRC % 32
+        first = self.launch(src, backend)
+        assert len(estimates) == 1
+        second = self.launch(src, backend)
+        assert len(estimates) == 1
+        assert second.usage == first.usage
+
+    def test_equal_source_shares_report(self, estimates):
+        """The report is keyed by digest, like the closures: a separately
+        parsed copy of the same source estimates nothing."""
+        src = SHARED_SRC % 32
+        k1, k2 = parse_kernel(src), parse_kernel(src)
+        assert k1 is not k2
+        assert compile_kernel(k1).resources() is compile_kernel(k2).resources()
+        assert len(estimates) == 1
+
+    def test_other_digest_gets_own_report(self, estimates):
+        small = self.launch(SHARED_SRC % 32)
+        big = self.launch(SHARED_SRC % 64)
+        assert len(estimates) == 2
+        assert small.usage.shared_bytes_per_block == 32 * 4
+        assert big.usage.shared_bytes_per_block == 64 * 4
+        for n in (32, 64):
+            k = parse_kernel(SHARED_SRC % n)
+            assert compile_kernel(k).resources() == estimate_resources(k)
+
+    def test_interp_estimates_every_launch(self, estimates):
+        src = SHARED_SRC % 32
+        self.launch(src, "interp")
+        self.launch(src, "interp")
+        assert len(estimates) == 2
+
+    def test_megablock_launch_digests_once(self, monkeypatch):
+        """The per-block and batched lowerings share one digest per launch."""
+        from repro.gpusim import compile as gpu_compile
+        from repro.gpusim import megablock
+
+        calls = []
+        real = gpu_compile.kernel_digest
+
+        def counting(kernel):
+            calls.append(kernel.name)
+            return real(kernel)
+
+        monkeypatch.setattr(gpu_compile, "kernel_digest", counting)
+        monkeypatch.setattr(megablock, "kernel_digest", counting)
+        result = self.launch(SHARED_SRC % 32)
+        assert result.megablock_fallback is None
+        assert len(calls) == 1
 
 
 def _cache_probe_in_child(src):

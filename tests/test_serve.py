@@ -281,9 +281,9 @@ class TestServerHTTP:
 
     def test_paper_benchmark_bit_identical(self, client):
         """A served paper benchmark must return byte-for-byte the buffers
-        a direct launch() produces."""
+        a direct launch() on the reference interpreter produces."""
         bench = BENCHMARKS["MC"]()
-        direct = bench.run_baseline()
+        direct = bench.run_baseline(backend="interp")
         args = {}
         for name, value in bench.make_args().items():
             args[name] = value if isinstance(value, np.ndarray) else (
@@ -295,6 +295,30 @@ class TestServerHTTP:
         for name, buf in direct.gmem.buffers().items():
             assert served[name].tobytes() == np.ascontiguousarray(
                 buf.data).tobytes(), name
+
+    def test_default_engine_served_bit_identical_to_interp(
+        self, client, monkeypatch
+    ):
+        """A request naming no backend runs on megablock (and /statz says
+        so); its buffers and stats equal an interp launch of the same body."""
+        monkeypatch.delenv("GPUSIM_BACKEND", raising=False)
+        bench = BENCHMARKS["CFD"](ncells=128, block=32)
+        args = {}
+        for name, value in bench.make_args().items():
+            args[name] = value if isinstance(value, np.ndarray) else (
+                float(value) if isinstance(value, (float, np.floating))
+                else int(value))
+        body = (bench.source, bench.grid, bench.block_size, args)
+        const = bench.const_arrays()
+        default = client.launch(*body, const_arrays=const)
+        interp = client.launch(*body, const_arrays=const, backend="interp")
+        assert default["backend"] == "megablock"
+        assert default["megablock_fallback"] is None
+        assert interp["backend"] == "interp"
+        assert default["buffers"] == interp["buffers"]
+        assert default["stats"] == interp["stats"]
+        assert default["timing_ms"] == interp["timing_ms"]
+        assert client.stats()["default_backend"] == "megablock"
 
     def test_concurrent_duplicates_coalesce_bit_identical(self, server, client):
         """Three tenants post identical payloads through a barrier; the
