@@ -9,11 +9,9 @@ interpreter have a recorded trajectory.
 ``python -m repro.bench`` times each selected paper benchmark on the
 interpreter, the compiled backend, and the megablock backend (compile caches
 warmed first, so the once-per-source lowering cost is excluded and recorded
-separately as ``compile_ms``), optionally with the parallel block scheduler,
-and writes ``BENCH_gpusim.json``.  Timings are best-of-``repeats``
-wall-clock; speedups are interp/<backend> per kernel plus geometric means.
-When the parallel pass is skipped the record says why
-(``"skipped": "<reason>"``) instead of leaving bare nulls.
+separately as ``compile_ms``), and writes ``BENCH_gpusim.json``.  Timings
+are best-of-``repeats`` wall-clock; speedups are interp/<backend> per kernel
+plus geometric means.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..gpusim import scheduler
 from ..kernels import BENCHMARKS
 
 #: Kernels timed by default: the full paper suite.
@@ -127,13 +124,7 @@ def _output_digest(result) -> str:
     return digest.hexdigest()
 
 
-def bench_kernel(
-    name: str,
-    repeats: int = 3,
-    parallel: Optional[int] = None,
-    profile: bool = False,
-    parallel_skip: Optional[str] = None,
-) -> dict:
+def bench_kernel(name: str, repeats: int = 3, profile: bool = False) -> dict:
     """Time one benchmark on all three backends; returns a JSON-ready record.
 
     ``profile=True`` additionally runs one *untimed* profiled launch per
@@ -141,10 +132,6 @@ def bench_kernel(
     records the profiles in the :mod:`repro.prof` registry as
     ``"bench/<name>/interp"`` / ``"bench/<name>/compiled"`` /
     ``"bench/<name>/megablock"``.
-
-    When ``parallel`` is falsy, ``parallel_skip`` names the reason in the
-    record's ``"skipped"`` field ("not-requested" by default) so a null
-    ``parallel_ms`` is never silent.
     """
     from ..gpusim.diskcache import disk_cache_stats
 
@@ -202,25 +189,8 @@ def bench_kernel(
         # lanes) batch — the megawarp fast path; False for per-block
         # batching; null when the launch fell back entirely.
         "megablock_megawarp": mega_result.megablock_megawarp,
-        "parallel_ms": None,
-        "parallel_workers": None,
-        "speedup_parallel": None,
-        # Why the parallel pass did not run; null when it did.  Always
-        # present so the reason round-trips through the JSON and the
-        # --compare gate can report it instead of a bare missing column.
-        "skipped": None,
     }
-    par_s = None
-    if parallel:
-        par_s, par_result = _time_launch(
-            bench, repeats, backend="compiled", parallel=parallel
-        )
-        record["parallel_ms"] = round(par_s * 1e3, 3)
-        record["parallel_workers"] = par_result.parallel_workers
-        record["speedup_parallel"] = round(interp_s / par_s, 3)
-    else:
-        record["skipped"] = parallel_skip or "not-requested"
-    best_s = min(s for s in (compiled_s, mega_s, par_s) if s is not None)
+    best_s = min(compiled_s, mega_s)
     record["best_ms"] = round(best_s * 1e3, 3)
     record["speedup_best"] = round(interp_s / best_s, 3)
     return record
@@ -238,31 +208,13 @@ def _host_facts() -> dict:
 def run_bench(
     kernels: Sequence[str] = DEFAULT_KERNELS,
     repeats: int = 3,
-    parallel: Optional[int] = None,
     profile: bool = False,
 ) -> dict:
     """Benchmark ``kernels`` and return the full report dict."""
-    parallel_skip = None
-    if parallel is None:
-        # Engage the parallel scheduler only where it can help — and say
-        # why when it can't, so the JSON never holds silent nulls.
-        if not scheduler.available():
-            parallel_skip = "scheduler-unavailable"
-        else:
-            workers = scheduler.resolve_workers("auto")
-            if workers >= 2:
-                parallel = workers
-            else:
-                parallel_skip = "cpu_count==1"
-    records = {}
-    for name in kernels:
-        records[name] = bench_kernel(
-            name,
-            repeats=repeats,
-            parallel=parallel,
-            profile=profile,
-            parallel_skip=parallel_skip,
-        )
+    records = {
+        name: bench_kernel(name, repeats=repeats, profile=profile)
+        for name in kernels
+    }
     speedups = [r["speedup_best"] for r in records.values()]
     mega_ratios = [
         r["megablock_over_compiled"]
@@ -280,7 +232,6 @@ def run_bench(
         "config": {
             "kernels": list(kernels),
             "repeats": repeats,
-            "parallel": parallel,
         },
         "kernels": records,
         # Sum of every per-kernel compile_ms component: the number a warm
@@ -373,14 +324,6 @@ def compare_reports(
         lines.append(
             f"{name:6s} {base_txt:>9s} {fresh_txt:>9s} {delta_txt:>7s}  {note}"
         )
-    skipped = {
-        name: rec["skipped"]
-        for name, rec in fresh["kernels"].items()
-        if rec.get("skipped")
-    }
-    if skipped:
-        reasons = sorted(set(skipped.values()))
-        lines.append(f"parallel pass skipped: {', '.join(reasons)}")
     if not deltas:
         lines.append("no comparable kernels — gate fails")
         return False, "\n".join(lines)
@@ -391,84 +334,6 @@ def compare_reports(
         + ("ok" if ok else "REGRESSED")
     )
     return ok, "\n".join(lines)
-
-
-def pool_compare_kernel(name: str, repeats: int, parallel: int) -> dict:
-    """Time one benchmark's parallel launch on both pool substrates.
-
-    Compares the supervised persistent pool (workers and their compile
-    caches stay warm across launches) against the legacy per-launch fork
-    (``pool_mode="fork"``).  The first persistent launch pays the pool
-    spawn cost, so each mode gets one untimed warm-up launch first.
-    """
-    from ..gpusim.resilience import ResilienceConfig
-
-    bench = BENCHMARKS[name]()
-    bench.run_baseline(backend="compiled", sample_blocks=1)
-    record: dict = {"parallel_workers": parallel}
-    times = {}
-    for mode in ("persistent", "fork"):
-        cfg = ResilienceConfig(pool_mode=mode)
-        bench.run_baseline(backend="compiled", parallel=parallel, resilience=cfg)
-        seconds, result = _time_launch(
-            bench, repeats, backend="compiled", parallel=parallel, resilience=cfg
-        )
-        times[mode] = seconds
-        record[f"{mode}_ms"] = round(seconds * 1e3, 3)
-        record[f"{mode}_fallback"] = result.parallel_fallback
-    record["fork_over_persistent"] = round(times["fork"] / times["persistent"], 3)
-    return record
-
-
-def run_pool_compare(
-    kernels: Sequence[str] = QUICK_KERNELS,
-    repeats: int = 3,
-    parallel: Optional[int] = None,
-) -> dict:
-    """Persistent-pool vs per-launch-fork comparison report.
-
-    ``fork_over_persistent > 1`` means the persistent pool is faster; the
-    CI smoke job asserts the geomean does not fall below parity (within
-    noise), i.e. keeping workers alive never costs throughput.
-    """
-    if parallel is None:
-        parallel = scheduler.resolve_workers("auto") if scheduler.available() else 0
-    if parallel < 2:
-        raise RuntimeError(
-            "--pool-compare needs a multi-CPU POSIX host (got "
-            f"{parallel} workers)"
-        )
-    records = {
-        name: pool_compare_kernel(name, repeats=repeats, parallel=parallel)
-        for name in kernels
-    }
-    ratios = [r["fork_over_persistent"] for r in records.values()]
-    return {
-        "config": {
-            "kernels": list(kernels),
-            "repeats": repeats,
-            "parallel": parallel,
-        },
-        "kernels": records,
-        "geomean_fork_over_persistent": round(
-            float(np.exp(np.mean(np.log(ratios)))), 3
-        ),
-    }
-
-
-def format_pool_compare(report: dict) -> str:
-    lines = [
-        f"{'kernel':6s} {'persistent ms':>14s} {'fork ms':>10s} {'fork/persist':>13s}"
-    ]
-    for name, rec in report["kernels"].items():
-        lines.append(
-            f"{name:6s} {rec['persistent_ms']:14.1f} {rec['fork_ms']:10.1f} "
-            f"{rec['fork_over_persistent']:12.2f}x"
-        )
-    lines.append(
-        f"geomean fork/persistent {report['geomean_fork_over_persistent']:.2f}x"
-    )
-    return "\n".join(lines)
 
 
 def _wire_args(bench) -> dict:
@@ -713,13 +578,12 @@ def format_report(report: dict, cache_stats: bool = False) -> str:
     for that kernel, straight from the JSON record)."""
     header = (
         f"{'kernel':6s} {'interp ms':>10s} {'compiled ms':>12s} "
-        f"{'megablock ms':>13s} {'mw':>4s} {'parallel ms':>12s} {'speedup':>8s}"
+        f"{'megablock ms':>13s} {'mw':>4s} {'speedup':>8s}"
     )
     if cache_stats:
         header += f" {'np xform ms':>12s} {'cache h/m/s':>12s}"
     lines = [header]
     for name, rec in report["kernels"].items():
-        par = "-" if rec["parallel_ms"] is None else f"{rec['parallel_ms']:.1f}"
         mega = f"{rec['megablock_ms']:.1f}"
         if rec["megablock_fallback"] is not None:
             mega += "*"  # per-block fallback; see megablock_fallback
@@ -727,7 +591,7 @@ def format_report(report: dict, cache_stats: bool = False) -> str:
         mw = {True: "yes", False: "blk"}.get(rec.get("megablock_megawarp"), "-")
         line = (
             f"{name:6s} {rec['interp_ms']:10.1f} {rec['compiled_ms']:12.1f} "
-            f"{mega:>13s} {mw:>4s} {par:>12s} {rec['speedup_best']:7.2f}x"
+            f"{mega:>13s} {mw:>4s} {rec['speedup_best']:7.2f}x"
         )
         if cache_stats:
             cache = rec.get("cache", {})
@@ -773,13 +637,6 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=3, help="best-of-N timing repeats"
-    )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        help="worker processes for the parallel scheduler pass "
-        "(default: auto, skipped on single-CPU hosts)",
     )
     parser.add_argument(
         "--quick",
@@ -847,13 +704,6 @@ def main(argv: Optional[list] = None) -> int:
         "payloads to exercise coalescing; 0 disables (default: %(default)s)",
     )
     parser.add_argument(
-        "--pool-compare",
-        action="store_true",
-        help="compare the persistent supervised worker pool against the "
-        "legacy per-launch fork on the parallel path (instead of the "
-        "backend benchmark)",
-    )
-    parser.add_argument(
         "--compare",
         action="store_true",
         help="after benchmarking, gate the fresh megablock/compiled ratios "
@@ -902,21 +752,7 @@ def main(argv: Optional[list] = None) -> int:
         bad = [k for k, ok in report["verified_bit_identical"].items() if not ok]
         return 1 if bad or report["failures"] else 0
 
-    if args.pool_compare:
-        report = run_pool_compare(
-            kernels, repeats=repeats, parallel=args.parallel
-        )
-        out = args.out if args.out != "BENCH_gpusim.json" else "BENCH_pool.json"
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(format_pool_compare(report))
-        print(f"wrote {out}")
-        return 0
-
-    report = run_bench(
-        kernels, repeats=repeats, parallel=args.parallel, profile=args.profile
-    )
+    report = run_bench(kernels, repeats=repeats, profile=args.profile)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -9,8 +9,7 @@ The substrate that stands in for the paper's GTX 680 / K20c hardware:
 - :mod:`~repro.gpusim.interp` — warp-level interpreter (divergence masks)
 - :mod:`~repro.gpusim.compile` — closure-compiled execution engine + cache
 - :mod:`~repro.gpusim.diskcache` — persistent content-addressed cache tier
-- :mod:`~repro.gpusim.scheduler` — parallel block scheduler
-- :mod:`~repro.gpusim.pool` — supervised persistent worker pool
+- :mod:`~repro.gpusim.pool` — supervised persistent pool for whole-launch tasks
 - :mod:`~repro.gpusim.resilience` — deadlines, retries, circuit breaker
 - :mod:`~repro.gpusim.stream` — async launches with stream ordering
 - :mod:`~repro.gpusim.occupancy` — CUDA occupancy calculator

@@ -1608,8 +1608,8 @@ def _plain_iterator(body_fn: StmtFn, ctx: WarpContext, mask: np.ndarray):
 
 
 def kernel_uses_atomics(kernel: Kernel) -> bool:
-    """Atomics accumulate across blocks, which the parallel scheduler's
-    diff-based memory merge cannot reproduce — such kernels run sequentially."""
+    """True when the kernel calls ``atomicAdd``: atomics accumulate across
+    blocks, so the megablock engine must reproduce their sequential order."""
     return any(
         isinstance(n, Call) and n.func == "atomicAdd" for n in walk(kernel.body)
     )
@@ -1803,7 +1803,7 @@ class CompileCacheStats:
     hits: int = 0
     misses: int = 0
     size: int = 0
-    #: Process the counters belong to.  Forked scheduler workers inherit the
+    #: Process the counters belong to.  Forked pool workers inherit the
     #: parent's cache through copy-on-write but must not inherit its
     #: hit/miss history as their own — see :func:`_check_fork`.
     pid: int = 0

@@ -35,8 +35,8 @@ directory the tier is inert and every accessor returns zeros.
 
 Entries are JSON envelopes carrying human-readable key metadata plus an
 optional base64-pickled payload (``blob``).  Pickled payloads are trusted
-the same way the worker pool's pickled :class:`~repro.gpusim.pool.
-LaunchSpec` pipes are: the cache directory is local, developer-owned state.
+the same way the worker pool's pickled task pipes are: the cache directory
+is local, developer-owned state.
 """
 
 from __future__ import annotations

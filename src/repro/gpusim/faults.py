@@ -23,17 +23,19 @@ Three further kinds target the *worker pool* rather than the simulated
 machine, so every resilience behaviour of :mod:`repro.gpusim.pool` is
 testable without real flakiness:
 
-- ``worker_crash``    — the worker process running the targeted chunk dies
+- ``worker_crash``    — the worker process running the targeted task dies
   (``os._exit``) after accepting it;
 - ``worker_hang``     — the worker stops responding, so the pool's
-  per-chunk deadline watchdog must kill and replace it;
+  per-task deadline watchdog must kill and replace it;
 - ``worker_slow``     — the worker sleeps :attr:`FaultSpec.delay` seconds
   before executing (a straggler, not a fault: it must *not* trip retries).
 
-Worker faults are resolved in the parent at chunk dispatch time (see
-:class:`WorkerFaultPlan`) so firing stays deterministic even though the
-behaviour executes inside a worker process; each firing is recorded like
-any other kind.
+Worker faults are resolved in the parent at task dispatch time (see
+:meth:`FaultInjector.poll_worker_fault`) so firing stays deterministic even
+though the behaviour executes inside a worker process; each firing is
+recorded like any other kind.  A worker fault's ``block`` filter selects a
+task index (for a sharded autotune, the variant's position among the
+launchable configs), not a thread block.
 
 Every firing is appended to :attr:`FaultInjector.records` with a full
 :class:`~repro.gpusim.diagnostics.FaultContext`, so even *silent* faults
@@ -67,7 +69,7 @@ SIM_FAULT_KINDS = (
     "miscoalesce",
 )
 
-#: Fault classes planted in the parallel scheduler's worker processes.
+#: Fault classes planted in the worker pool's processes.
 WORKER_FAULT_KINDS = (
     "worker_crash",
     "worker_hang",
@@ -92,7 +94,7 @@ class FaultSpec:
     kernel: Optional[str] = None      # exact kernel-name match
     target: Optional[str] = None      # buffer / array name (memory faults)
     launch_index: Optional[int] = None
-    block: Optional[int] = None       # linear block id
+    block: Optional[int] = None       # linear block id (worker faults: task index)
     warp: Optional[int] = None
     lane: Optional[int] = None        # None -> seeded pick among active lanes
     bit: Optional[int] = None         # bit to flip (bit_flip); seeded if None
@@ -156,10 +158,11 @@ class FaultInjector:
     def worker_only(self) -> bool:
         """True when every planted spec targets the worker pool.
 
-        Such an injector never needs interpreter hooks, so the launch may
-        still go parallel — the pool resolves the specs at dispatch time.
-        An injector with *no* specs is not worker-only: it keeps the
-        conservative sequential fallback it always had.
+        Such an injector never needs interpreter hooks: a launch still
+        batches on the megablock engine, and a sharded autotune still uses
+        the pool, which resolves the specs at task dispatch time.  An
+        injector with *no* specs is not worker-only: it keeps the
+        conservative per-block fallback it always had.
         """
         return bool(self.specs) and all(
             s.kind in WORKER_FAULT_KINDS for s in self.specs
@@ -317,18 +320,16 @@ class FaultInjector:
         self._record("skip_sync", ctx, f"lane {lane} withheld from __syncthreads")
         return skip
 
-    def poll_worker_fault(self, kernel: str, chunk_index: int,
-                          blocks: Sequence[int],
+    def poll_worker_fault(self, kernel: str, task_index: int,
                           worker_pid: Optional[int] = None):
-        """Arm-and-consume one worker fault for a chunk about to dispatch.
+        """Arm-and-consume one worker fault for a task about to dispatch.
 
-        Called by the scheduler in the *parent* process each time a chunk is
+        Called by the pool in the *parent* process each time a task is
         handed to a worker (including re-dispatches after a fault), so
         firing order is deterministic regardless of worker timing.  A spec
-        matches when its ``block`` filter is unset or names a linear block
-        inside the chunk.  Returns ``(kind, delay)`` or ``None``.
+        matches when its ``block`` filter is unset or names this task
+        index.  Returns ``(kind, delay)`` or ``None``.
         """
-        blockset = set(int(b) for b in blocks)
         for i, spec in enumerate(self.specs):
             if spec.kind not in WORKER_FAULT_KINDS or self._fired[i] >= spec.count:
                 continue
@@ -336,16 +337,12 @@ class FaultInjector:
                 continue
             if spec.launch_index is not None and spec.launch_index != self._launch_index:
                 continue
-            if spec.block is not None and spec.block not in blockset:
+            if spec.block is not None and spec.block != task_index:
                 continue
             self._fired[i] += 1
             ctx = FaultContext(kernel=kernel, injected=True)
             who = f"worker pid {worker_pid}" if worker_pid else "worker"
-            self._record(
-                spec.kind, ctx,
-                f"{who} chunk {chunk_index} "
-                f"(blocks {min(blockset)}..{max(blockset)})",
-            )
+            self._record(spec.kind, ctx, f"{who} task {task_index}")
             return spec.kind, spec.delay
         return None
 

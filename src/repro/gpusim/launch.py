@@ -23,23 +23,20 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from ..minicuda.nodes import Kernel, PointerType
 from ..minicuda.parser import parse_kernel
 from ..prof.counters import KernelProfile
-from . import scheduler
-from .compile import compile_kernel, kernel_uses_atomics
+from .compile import compile_kernel
 from .megablock import (
     MegaProfile,
     MegablockExecutor,
     compile_megablock,
     megablock_flatten,
 )
-from .pool import LaunchSpec
-from .resilience import ResilienceConfig, ResilienceTelemetry, get_breaker
 from .device import DeviceSpec, GTX680
 from .diagnostics import FaultContext, FaultReport
 from .errors import LaunchError, SimError
@@ -102,14 +99,6 @@ class LaunchResult:
     #: Execution backend that ran the launch: "interp", "compiled" or
     #: "megablock".
     backend: str = "interp"
-    #: Worker-process count when the parallel block scheduler ran this
-    #: launch; None when blocks executed sequentially.
-    parallel_workers: Optional[int] = None
-    #: Why a *requested* parallel launch (>= 2 resolved workers) ran
-    #: sequentially instead; None when it ran parallel or was never
-    #: requested.  One of: "single-block", "trace", "faults", "sanitizer",
-    #: "atomics", "unavailable", "worker-fault", "breaker-open".
-    parallel_fallback: Optional[str] = None
     #: Why a megablock launch (the default engine) executed blocks through
     #: the per-block compiled engine instead of the batched block axis;
     #: None when batching ran or another engine was selected.  One of:
@@ -126,15 +115,9 @@ class LaunchResult:
     #: executes atomics).  True/False when the batched engine ran, None when
     #: it fell back or another engine was selected.
     megablock_megawarp: Optional[bool] = None
-    #: Resilience telemetry of the parallel attempt (attempts, retries,
-    #: deadline kills, breaker state, pool lifecycle events), when this
-    #: launch requested parallelism and reached the scheduler; None
-    #: otherwise.  See :class:`~repro.gpusim.resilience.ResilienceTelemetry`.
-    resilience: Optional[ResilienceTelemetry] = None
     #: Per-line/per-block hotspot counters, when the launch ran with
-    #: ``profile=True`` (None otherwise).  Bit-identical between the
-    #: interp and compiled backends and between sequential and parallel
-    #: scheduling.
+    #: ``profile=True`` (None otherwise).  Bit-identical across the three
+    #: engines.
     profile: Optional[KernelProfile] = None
     error: Optional[FaultReport] = None
     #: Racecheck/initcheck findings, when the launch ran under
@@ -201,9 +184,7 @@ def launch(
     racecheck: bool = False,
     initcheck: bool = False,
     backend: Optional[str] = None,
-    parallel: Optional[Union[int, bool, str]] = None,
     profile: bool = False,
-    resilience: Optional[ResilienceConfig] = None,
     cache_dir: Optional[str] = None,
 ) -> LaunchResult:
     """Simulate one kernel launch.
@@ -244,36 +225,16 @@ def launch(
     ``None`` means :func:`default_backend`: ``GPUSIM_BACKEND`` when set,
     else ``"megablock"``.  All three produce bit-identical results.
 
-    ``parallel`` enables the block scheduler: an int worker count, ``True``
-    or ``"auto"`` for one worker per CPU (``None`` defers to
-    ``GPUSIM_PARALLEL``).  Blocks fan out across forked worker processes
-    only when no feature needs the exact sequential interleaving — tracing,
-    fault injection, the sanitizers, and kernels using ``atomicAdd``
-    (cross-block accumulation) all fall back to sequential execution, as
-    does any worker fault (the launch reruns sequentially for exact fault
-    semantics).  :attr:`LaunchResult.parallel_workers` reports what ran,
-    and :attr:`LaunchResult.parallel_fallback` names the reason whenever a
-    requested parallel launch ran sequentially.
-
     ``profile=True`` collects per-source-line hotspot counters and
     per-block cost records into :attr:`LaunchResult.profile` (a
     :class:`~repro.prof.counters.KernelProfile`); see :mod:`repro.prof`
     for the Chrome-trace exporter and terminal reports.  Profiles are
-    bit-identical across backends and across sequential/parallel
-    scheduling.
+    bit-identical across backends.
 
-    ``resilience`` overrides the parallel path's
-    :class:`~repro.gpusim.resilience.ResilienceConfig` (pool mode,
-    per-chunk deadline, retry budget, circuit-breaker threshold); ``None``
-    reads the ``GPUSIM_POOL`` / ``GPUSIM_LAUNCH_TIMEOUT`` /
-    ``GPUSIM_MAX_RETRIES`` / ``GPUSIM_BREAKER_THRESHOLD`` environment
-    knobs.  A parallel launch's journey down the degradation ladder
-    (parallel → fewer workers → sequential) lands on
-    :attr:`LaunchResult.resilience`, and a tripped circuit breaker makes
-    later launches fall back with reason ``"breaker-open"`` until its
-    half-open probe succeeds.  An injector whose specs are *all* worker
-    faults (``worker_crash`` / ``worker_hang`` / ``worker_slow``) does not
-    force the sequential path: the pool resolves those specs itself.
+    Every launch runs in the calling process.  An injector whose specs are
+    *all* worker faults (``worker_crash`` / ``worker_hang`` /
+    ``worker_slow``) needs no interpreter hooks, so it does not force the
+    per-block path; only the worker pool consults those specs.
 
     ``cache_dir`` activates the process-wide persistent cache tier rooted
     at that directory (equivalent to exporting ``GPUSIM_CACHE_DIR``):
@@ -308,12 +269,8 @@ def launch(
     total_blocks = 1
     shared_bytes = 0
     sampled_ids: Optional[tuple[int, ...]] = None
-    parallel_workers: Optional[int] = None
-    parallel_fallback: Optional[str] = None
     megablock_fallback: Optional[str] = None
     megablock_megawarp: Optional[bool] = None
-    telemetry: Optional[ResilienceTelemetry] = None
-    res_cfg = resilience if resilience is not None else ResilienceConfig.from_env()
     prof_obj = KernelProfile(kernel=kernel.name) if profile else None
     try:
         grid3 = _as_dim3(grid)
@@ -334,7 +291,6 @@ def launch(
         extra = set(args) - param_names
         if extra:
             raise LaunchError(f"unknown kernel arguments: {sorted(extra)}")
-        scalar_args: dict = {}
         for param in kernel.params:
             value = args[param.name]
             if isinstance(param.type, PointerType):
@@ -349,7 +305,6 @@ def launch(
                 base_env[param.name] = (
                     float(value) if param.type.name == "float" else int(value)
                 )
-                scalar_args[param.name] = base_env[param.name]
         for cname, cdata in (const_arrays or {}).items():
             base_env[cname] = ConstArray(cname, np.asarray(cdata))
 
@@ -395,53 +350,21 @@ def launch(
         else:
             block_ids = list(range(total_blocks))
 
-        def run_block(
-            linear: int,
-            stats_obj: KernelStats,
-            profile_obj: Optional[KernelProfile],
-        ) -> int:
-            bz_i, rem = divmod(linear, gx * gy)
-            by_i, bx_i = divmod(rem, gx)
-            executor = BlockExecutor(
-                kernel,
-                block_idx=(bx_i, by_i, bz_i),
-                block_dim=block3,
-                grid_dim=grid3,
-                base_env=base_env,
-                stats=stats_obj,
-                trace=access_trace,
-                injector=faults,
-                linear_block=linear,
-                synccheck=synccheck,
-                sanitizer=sanitizer,
-                scaffold=scaffold,
-                program=program,
-                profile=profile_obj,
-            )
-            executor.run()
-            return executor.shared_bytes
-
-        workers = scheduler.resolve_workers(parallel)
-        uses_atomics = (
-            program.uses_atomics if program is not None else kernel_uses_atomics(kernel)
-        )
-        # An injector whose every spec targets the worker pool needs no
-        # interpreter hooks, so it does not force the sequential path: the
-        # scheduler resolves those specs deterministically at dispatch.
-        faults_worker_only = faults is not None and faults.worker_only()
         # Megablock eligibility: anything needing per-block interpreter
         # hooks (trace, sim-faults, sanitizers) runs per block; the reason
-        # is observable on the result.  Atomics are batch-safe since the
-        # deterministic sort-by-address fold, but only under the flattened
-        # (megawarp) row order — when a kernel uses atomics and this launch
-        # cannot flatten, it falls back with reason "atomic-order".
+        # is observable on the result.  An injector whose every spec
+        # targets the worker pool needs no hooks.  Atomics are batch-safe
+        # since the deterministic sort-by-address fold, but only under the
+        # flattened (megawarp) row order — when a kernel uses atomics and
+        # this launch cannot flatten, it falls back with reason
+        # "atomic-order".
         mega_program = None
         if backend_name == "megablock":
             if len(block_ids) < 2:
                 megablock_fallback = "single-block"
             elif trace:
                 megablock_fallback = "trace"
-            elif faults is not None and not faults_worker_only:
+            elif faults is not None and not faults.worker_only():
                 megablock_fallback = "faults"
             elif sanitizer is not None:
                 megablock_fallback = "sanitizer"
@@ -461,136 +384,76 @@ def launch(
                     megablock_fallback = "atomic-order"
                 else:
                     mega_program = candidate
-        # Record *why* a requested parallel launch degrades to sequential
-        # execution — only when parallelism was actually requested (>= 2
-        # resolved workers), so plain sequential launches stay None.
-        if workers >= 2:
-            if len(block_ids) < 2:
-                parallel_fallback = "single-block"
-            elif trace:
-                parallel_fallback = "trace"
-            elif faults is not None and not faults_worker_only:
-                parallel_fallback = "faults"
-            elif sanitizer is not None:
-                parallel_fallback = "sanitizer"
-            elif uses_atomics:
-                parallel_fallback = "atomics"
-            elif not scheduler.available():
-                parallel_fallback = "unavailable"
-            else:
-                # The attempt will reach the scheduler: make it observable.
-                telemetry = ResilienceTelemetry(pool_mode=res_cfg.pool_mode)
-                breaker = get_breaker()
-                if not breaker.allow(res_cfg):
-                    parallel_fallback = "breaker-open"
-                    telemetry.breaker_state = breaker.state
-                    telemetry.degraded = "sequential"
-                    telemetry.record(
-                        "breaker-skip",
-                        "circuit breaker open; running sequentially",
-                    )
-        ran_parallel = False
-        if workers >= 2 and parallel_fallback is None:
-            breaker = get_breaker()
-            trips_before = breaker.trips
-            spec = LaunchSpec(
-                kernel=kernel,
-                grid=grid3,
-                block=block3,
-                gmem=gmem,
-                scalars=scalar_args,
-                const_arrays={
-                    cname: np.asarray(cdata)
-                    for cname, cdata in (const_arrays or {}).items()
-                },
-                backend=(
-                    # Workers batch each chunk's block axis only when the
-                    # launch itself is batch-eligible; an ineligible
-                    # megablock launch runs per block in the workers too.
-                    backend_name
-                    if not (backend_name == "megablock" and mega_program is None)
-                    else "compiled"
-                ),
-                synccheck=synccheck,
-                profile_kernel=kernel.name if profile else None,
-            )
-            outcome = scheduler.execute_blocks(
-                run_block,
-                block_ids,
-                gmem,
-                workers,
-                profile=prof_obj,
-                spec=spec,
-                config=res_cfg,
-                telemetry=telemetry,
-                injector=faults if faults_worker_only else None,
-            )
-            breaker.record_result(telemetry.worker_faults, res_cfg)
-            telemetry.breaker_trips = breaker.trips - trips_before
-            telemetry.breaker_state = breaker.state
-            if outcome is not None:
-                stats.merge(outcome.stats)
-                executed = outcome.executed
-                shared_bytes = outcome.shared_bytes
-                parallel_workers = outcome.workers
-                ran_parallel = True
-            else:
-                # Set before the rerun: if the sequential rerun faults too,
-                # the error-path result still explains the degradation.
-                parallel_fallback = "worker-fault"
-                telemetry.degraded = "sequential"
-        if not ran_parallel:
-            ran_megablock = False
-            if mega_program is not None and parallel_fallback != "worker-fault":
-                # Batched execution is speculative: snapshot global memory,
-                # run the whole block axis at once, and on ANY SimError
-                # restore the snapshot and rerun per block — the rerun
-                # reproduces the exact located fault and semantics.
-                snapshot = {
-                    name: buf.data.copy()
-                    for name, buf in gmem.buffers().items()
-                }
-                mb_stats = KernelStats()
-                mb_prof = (
-                    MegaProfile(
-                        kernel.name,
-                        block_ids,
-                        scaffold.num_warps,
-                        scaffold.total_threads,
-                    )
-                    if profile
-                    else None
+        ran_megablock = False
+        if mega_program is not None:
+            # Batched execution is speculative: snapshot global memory,
+            # run the whole block axis at once, and on ANY SimError
+            # restore the snapshot and rerun per block — the rerun
+            # reproduces the exact located fault and semantics.
+            snapshot = {
+                name: buf.data.copy()
+                for name, buf in gmem.buffers().items()
+            }
+            mb_stats = KernelStats()
+            mb_prof = (
+                MegaProfile(
+                    kernel.name,
+                    block_ids,
+                    scaffold.num_warps,
+                    scaffold.total_threads,
                 )
-                try:
-                    mb_executor = MegablockExecutor(
-                        kernel,
-                        block_ids,
-                        block3,
-                        grid3,
-                        base_env,
-                        mb_stats,
-                        mega_program,
-                        synccheck=synccheck,
-                        scaffold=scaffold,
-                        profile=mb_prof,
-                    )
-                    mb_executor.run()
-                except SimError:
-                    for name, buf in gmem.buffers().items():
-                        buf.data[...] = snapshot[name]
-                    megablock_fallback = "sim-fault"
-                else:
-                    stats.merge(mb_stats)
-                    if mb_prof is not None:
-                        mb_prof.finish(prof_obj)
-                    shared_bytes = mb_executor.shared_bytes
-                    executed += len(block_ids)
-                    ran_megablock = True
-                    megablock_megawarp = mb_executor.flatten
-            if not ran_megablock:
-                for linear in block_ids:
-                    shared_bytes = run_block(linear, stats, prof_obj)
-                    executed += 1
+                if profile
+                else None
+            )
+            try:
+                mb_executor = MegablockExecutor(
+                    kernel,
+                    block_ids,
+                    block3,
+                    grid3,
+                    base_env,
+                    mb_stats,
+                    mega_program,
+                    synccheck=synccheck,
+                    scaffold=scaffold,
+                    profile=mb_prof,
+                )
+                mb_executor.run()
+            except SimError:
+                for name, buf in gmem.buffers().items():
+                    buf.data[...] = snapshot[name]
+                megablock_fallback = "sim-fault"
+            else:
+                stats.merge(mb_stats)
+                if mb_prof is not None:
+                    mb_prof.finish(prof_obj)
+                shared_bytes = mb_executor.shared_bytes
+                executed += len(block_ids)
+                ran_megablock = True
+                megablock_megawarp = mb_executor.flatten
+        if not ran_megablock:
+            for linear in block_ids:
+                bz_i, rem = divmod(linear, gx * gy)
+                by_i, bx_i = divmod(rem, gx)
+                executor = BlockExecutor(
+                    kernel,
+                    block_idx=(bx_i, by_i, bz_i),
+                    block_dim=block3,
+                    grid_dim=grid3,
+                    base_env=base_env,
+                    stats=stats,
+                    trace=access_trace,
+                    injector=faults,
+                    linear_block=linear,
+                    synccheck=synccheck,
+                    sanitizer=sanitizer,
+                    scaffold=scaffold,
+                    program=program,
+                    profile=prof_obj,
+                )
+                executor.run()
+                shared_bytes = executor.shared_bytes
+                executed += 1
     except SimError as exc:
         if exc.ctx is None:
             exc.attach(
@@ -618,11 +481,8 @@ def launch(
             sampled_blocks=executed or None,
             sampled_block_ids=sampled_ids,
             backend=backend_name,
-            parallel_workers=parallel_workers,
-            parallel_fallback=parallel_fallback,
             megablock_fallback=megablock_fallback,
             megablock_megawarp=megablock_megawarp,
-            resilience=telemetry,
             profile=prof_obj,
             error=report,
             sanitizer=sanitizer.report() if sanitizer is not None else None,
@@ -665,11 +525,8 @@ def launch(
         sampled_blocks=executed if executed < total_blocks else None,
         sampled_block_ids=sampled_ids,
         backend=backend_name,
-        parallel_workers=parallel_workers,
-        parallel_fallback=parallel_fallback,
         megablock_fallback=megablock_fallback,
         megablock_megawarp=megablock_megawarp,
-        resilience=telemetry,
         profile=prof_obj,
         sanitizer=sanitizer.report() if sanitizer is not None else None,
     )

@@ -2,9 +2,9 @@
 
 The compiled backend (:mod:`repro.gpusim.compile`) removed per-statement
 dispatch but still runs blocks one at a time: every closure executes over a
-``(WARP_SIZE,)`` lane vector, once per block.  For independent blocks — the
-same condition the parallel scheduler already detects — that outer Python
-loop is pure overhead.  This module lowers the *block loop itself* into an
+``(WARP_SIZE,)`` lane vector, once per block.  For independent blocks — no
+trace, sim-fault or sanitizer hook needing per-block order — that outer
+Python loop is pure overhead.  This module lowers the *block loop itself* into an
 ndarray axis: all blocks' lanes stack into ``(blocks, WARP_SIZE)`` arrays
 (one "mega-warp" per warp slot) and each statement closure runs exactly once
 for the entire batch.

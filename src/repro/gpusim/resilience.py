@@ -1,25 +1,24 @@
-"""Resilience policy for the parallel launch path: deadlines, retries, breaker.
+"""Resilience policy for the worker pool: deadlines, retries, breaker.
 
 The supervised worker pool (:mod:`repro.gpusim.pool`) is only trustworthy if
 its failure handling is *policy*, not improvisation.  This module is that
-policy, factored out so the scheduler, the launch API, and the tests all
-agree on it:
+policy, factored out so the pool, its callers (the sharded autotuner, the
+server's admission gate), and the tests all agree on it:
 
 - :class:`ResilienceConfig` — every knob in one place, with environment
-  fallbacks (``GPUSIM_POOL``, ``GPUSIM_LAUNCH_TIMEOUT``,
-  ``GPUSIM_MAX_RETRIES``, ``GPUSIM_BREAKER_THRESHOLD``);
+  fallbacks (``GPUSIM_LAUNCH_TIMEOUT``, ``GPUSIM_MAX_RETRIES``,
+  ``GPUSIM_BREAKER_THRESHOLD``);
 - :func:`jittered_backoff` — deterministic (seeded) exponential backoff for
-  chunk re-dispatch, so retry storms cannot synchronize;
+  task re-dispatch, so retry storms cannot synchronize;
 - :class:`CircuitBreaker` — a per-process closed → open → half-open state
-  machine over worker faults.  When workers keep dying, later launches stop
-  paying the parallel setup cost and go straight to the exact-semantics
-  sequential path; after a cool-down the breaker half-opens and lets one
-  trial launch probe whether the pool recovered;
+  machine over worker faults.  When workers keep dying, later callers stop
+  paying the pool's setup cost and run in-process; after a cool-down the
+  breaker half-opens and lets one trial call probe whether the pool
+  recovered;
 - :class:`ResilienceTelemetry` / :class:`PoolEvent` — the observable record
-  of one launch's journey down the degradation ladder (parallel →
-  parallel-with-fewer-workers → sequential), attached to
-  :attr:`~repro.gpusim.launch.LaunchResult.resilience` and exported as
-  Chrome ``trace_event`` instants by :mod:`repro.prof.timeline`.
+  of one pool call's journey down the degradation ladder (full pool →
+  fewer workers → sequential), attached to
+  :attr:`~repro.npc.autotune.AutotuneReport.resilience`.
 
 Nothing here forks processes or touches simulator state; it is pure
 bookkeeping, which is what makes the chaos suite able to assert exact
@@ -63,39 +62,32 @@ def _env_int(name: str) -> Optional[int]:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Every resilience knob for one launch.
+    """Every resilience knob for one pool call.
 
-    ``pool_mode`` selects the parallel execution substrate: ``"persistent"``
-    (the supervised worker pool of :mod:`repro.gpusim.pool`, the default) or
-    ``"fork"`` (the legacy per-launch ``multiprocessing.Pool``, kept as a
-    comparison baseline for ``repro.bench --pool-compare``).
-
-    ``launch_timeout`` bounds the legacy path's *whole* result collection
-    (``None`` = unbounded, the tier-1 default, because a deadline makes test
-    outcomes depend on host load).  The persistent pool is always bounded:
-    ``chunk_timeout`` is the per-chunk deadline its watchdog enforces by
-    killing and replacing the hung worker (defaults to ``launch_timeout``
-    when that is set, else 60 s).
+    ``chunk_timeout`` is the per-task deadline in seconds (each task is one
+    whole launch) that the pool's watchdog enforces by killing and replacing
+    the hung worker; ``GPUSIM_LAUNCH_TIMEOUT`` sets it, default 60 s.
     """
 
-    pool_mode: str = "persistent"
-    launch_timeout: Optional[float] = None
-    chunk_timeout: Optional[float] = None
+    chunk_timeout: float = 60.0
     max_retries: int = 2
     breaker_threshold: int = 3
     breaker_cooldown: int = 2
     backoff_base: float = 0.01
     backoff_cap: float = 0.25
     heartbeat_interval: float = 0.5
-    #: Worker replacements allowed per launch before the pool degrades to
+    #: Worker replacements allowed per call before the pool degrades to
     #: running on the surviving workers (``None`` = 2 × worker count).
     max_respawns: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.pool_mode not in ("persistent", "fork"):
+        # ``not x > 0`` also rejects NaN.  A deadline of zero or below would
+        # SIGKILL every worker at dispatch and fail every task silently.
+        if not self.chunk_timeout > 0:
             raise ValueError(
-                f"pool_mode must be 'persistent' or 'fork', got {self.pool_mode!r}"
+                "chunk_timeout (GPUSIM_LAUNCH_TIMEOUT) must be > 0 seconds, "
+                f"got {self.chunk_timeout}"
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
@@ -104,21 +96,13 @@ class ResilienceConfig:
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
             )
 
-    @property
-    def effective_chunk_timeout(self) -> float:
-        if self.chunk_timeout is not None:
-            return self.chunk_timeout
-        if self.launch_timeout is not None:
-            return self.launch_timeout
-        return 60.0
-
     @classmethod
     def from_env(cls) -> "ResilienceConfig":
         """Build a config from the ``GPUSIM_*`` environment knobs."""
-        cfg = cls(
-            pool_mode=os.environ.get("GPUSIM_POOL", "persistent") or "persistent",
-            launch_timeout=_env_float("GPUSIM_LAUNCH_TIMEOUT"),
-        )
+        cfg = cls()
+        timeout = _env_float("GPUSIM_LAUNCH_TIMEOUT")
+        if timeout is not None:
+            cfg = replace(cfg, chunk_timeout=timeout)
         retries = _env_int("GPUSIM_MAX_RETRIES")
         if retries is not None:
             cfg = replace(cfg, max_retries=retries)
@@ -144,23 +128,22 @@ class PoolEvent:
     kind: str
     detail: str = ""
     worker: Optional[int] = None  # worker pid when applicable
-    chunk: Optional[int] = None   # chunk index when applicable
+    chunk: Optional[int] = None   # task index when applicable
 
 
 @dataclass
 class ResilienceTelemetry:
-    """Observable record of one launch's resilience behaviour.
+    """Observable record of one pool call's resilience behaviour.
 
-    ``attempts`` counts chunk dispatches *including* retries, so a clean
-    launch has ``attempts == chunks`` and every retry adds one.  ``degraded``
-    is the final rung of the degradation ladder the launch ended on:
+    ``chunks`` is the number of tasks and ``attempts`` counts task
+    dispatches *including* retries, so a clean call has
+    ``attempts == chunks`` and every retry adds one.  ``degraded`` is the
+    final rung of the degradation ladder the call ended on:
     ``None``/"parallel" (full pool), ``"reduced"`` (finished on fewer
     workers after exhausting the respawn budget), or ``"sequential"`` (the
-    parallel attempt was abandoned and the exact-semantics sequential path
-    produced the result).
+    pool was skipped or collapsed and the caller ran everything in-process).
     """
 
-    pool_mode: str = "persistent"
     workers: int = 0
     chunks: int = 0
     attempts: int = 0
@@ -168,7 +151,6 @@ class ResilienceTelemetry:
     deadline_kills: int = 0
     worker_crashes: int = 0
     respawns: int = 0
-    sim_faults: int = 0
     breaker_state: str = "closed"
     breaker_trips: int = 0
     degraded: Optional[str] = None
@@ -190,7 +172,7 @@ class ResilienceTelemetry:
 
     def summary(self) -> str:
         parts = [
-            f"pool={self.pool_mode}", f"workers={self.workers}",
+            f"workers={self.workers}",
             f"attempts={self.attempts}", f"retries={self.retries}",
             f"deadline_kills={self.deadline_kills}",
             f"crashes={self.worker_crashes}",
@@ -205,13 +187,13 @@ class CircuitBreaker:
     """Closed → open → half-open breaker over worker faults.
 
     One instance guards the whole process (like the compile cache): worker
-    faults accumulate across launches while *closed*; reaching the threshold
-    trips the breaker *open*, and subsequent launches skip the parallel
-    path entirely (fallback reason ``"breaker-open"``).  After
-    ``cooldown`` skipped launches the breaker moves to *half-open* and
-    admits one trial launch: a fault-free trial closes the breaker and a
-    faulty one re-opens it.  All transitions are kept in
-    :attr:`transitions` so tests can assert the exact machine.
+    faults accumulate across pool calls while *closed*; reaching the
+    threshold trips the breaker *open*, and subsequent callers skip the pool
+    entirely (a sharded autotune then runs sequentially, and the server
+    sheds launches with 503).  After ``cooldown`` skipped calls the breaker
+    moves to *half-open* and admits one trial call: a fault-free trial
+    closes the breaker and a faulty one re-opens it.  All transitions are
+    kept in :attr:`transitions` so tests can assert the exact machine.
     """
 
     def __init__(self) -> None:
@@ -228,34 +210,34 @@ class CircuitBreaker:
         self.state = to
 
     def allow(self, config: ResilienceConfig) -> bool:
-        """May the next parallel-requested launch actually go parallel?
+        """May the next pool call actually use the pool?
 
-        Called once per such launch; while open it counts the skip and
-        half-opens after ``config.breaker_cooldown`` skipped launches.
+        Called once per such call; while open it counts the skip and
+        half-opens after ``config.breaker_cooldown`` skipped calls.
         """
         if self.state == "closed":
             return True
         if self.state == "open":
             self._skips += 1
             if self._skips >= config.breaker_cooldown:
-                self._move("half-open", f"cooldown after {self._skips} skipped launches")
+                self._move("half-open", f"cooldown after {self._skips} skipped calls")
                 return True
             return False
-        return True  # half-open: admit the trial launch
+        return True  # half-open: admit the trial call
 
     def record_result(self, faults: int, config: ResilienceConfig) -> None:
-        """Account one finished parallel attempt (``faults`` = crashes +
-        deadline kills it suffered, successful or not)."""
+        """Account one finished pool call (``faults`` = crashes + deadline
+        kills it suffered, successful or not)."""
         if faults <= 0:
             if self.state == "half-open":
-                self._move("closed", "trial launch ran fault-free")
+                self._move("closed", "trial call ran fault-free")
             self.fault_count = 0
             return
         self.fault_count += faults
         if self.state == "half-open":
             self.trips += 1
             self._skips = 0
-            self._move("open", f"trial launch saw {faults} worker fault(s)")
+            self._move("open", f"trial call saw {faults} worker fault(s)")
         elif self.state == "closed" and self.fault_count >= config.breaker_threshold:
             self.trips += 1
             self._skips = 0
@@ -284,7 +266,7 @@ class CircuitBreaker:
         self.transitions.clear()
 
 
-#: Process-wide breaker guarding the parallel path (tests reset it).
+#: Process-wide breaker guarding the worker pool (tests reset it).
 _BREAKER = CircuitBreaker()
 
 

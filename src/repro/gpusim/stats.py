@@ -92,9 +92,8 @@ class KernelStats:
     def merge(self, other: "KernelStats") -> None:
         """Accumulate another stats object into this one (in place).
 
-        Every field is a plain sum.  The parallel scheduler relies on this:
-        chunk-local stats merged in ascending chunk order must equal a
-        sequential run exactly, the same invariant the per-line profiler's
+        Every field is a plain sum, so merging a batch's stats into the
+        launch's is exact — the same invariant the per-line profiler's
         :meth:`repro.prof.counters.KernelProfile.merge` upholds.
         """
         for name in self.__dataclass_fields__:

@@ -29,10 +29,7 @@ any future that could not run (a racing enqueue that lost to ``close()``)
 is fulfilled with a located :class:`~repro.gpusim.errors.LaunchError`
 instead of leaving ``result()`` to block forever.
 
-Parallel block execution from multiple concurrent streams requires the
-persistent supervised pool (the default ``GPUSIM_POOL=persistent``); the
-legacy per-launch fork substrate is single-flight and raises a located
-:class:`~repro.gpusim.errors.LaunchError` if two launches overlap.
+Each launch runs whole on its stream's worker thread, in this process.
 """
 
 from __future__ import annotations
@@ -164,9 +161,7 @@ class Stream:
     """A FIFO queue of launches executed by one dedicated worker thread.
 
     Launches enqueued on the same stream never overlap and complete in
-    enqueue order; launches on different streams are independent (their
-    parallel chunks share the process-wide worker pool, which serializes
-    pool launches internally while keeping each stream's ordering intact).
+    enqueue order; launches on different streams are independent.
     """
 
     _counter = 0

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..gpusim import scheduler
+from ..gpusim import pool as gpupool
 from ..gpusim.device import DeviceSpec, GTX680
 from ..gpusim.diagnostics import FaultReport
 from ..gpusim.diskcache import get_disk_cache
@@ -209,7 +209,7 @@ def _run_tune_task(payload: dict) -> dict:
     plumbing raising :class:`SimError` before containment lands in
     ``raised``/``fault``; a contained launch fault rides back on the
     result's ``error`` report.  Runs with ``on_error="status"`` like the
-    sequential path, never ``parallel`` (the shard *is* the parallelism).
+    sequential path.
     """
     try:
         result = launch(
@@ -223,9 +223,6 @@ def _run_tune_task(payload: dict) -> dict:
             on_error="status",
             backend=payload["backend"],
             profile=payload["profile"],
-            # The shard *is* the parallelism: never let GPUSIM_PARALLEL
-            # nest a block scheduler inside a (daemonic) pool worker.
-            parallel=False,
         )
     except SimError as exc:
         return {
@@ -463,7 +460,7 @@ def autotune(
     deterministic — except that a shard whose worker crashes or hangs past
     the retry budget becomes a disqualified point, and
     :attr:`AutotuneReport.resilience` carries the pool telemetry.  An open
-    breaker, an unavailable scheduler (no POSIX fork), or a non-worker
+    breaker, an unavailable pool (no POSIX fork), or a non-worker
     fault injector silently degrades the search to sequential.
 
     ``backend`` is forwarded to every launch (baseline and variants), so
@@ -576,11 +573,11 @@ def autotune(
     if (
         shards >= 2
         and len(launchable) >= 2
-        and scheduler.available()
+        and gpupool.available()
         and (faults is None or faults.worker_only())
     ):
         res_cfg = resilience if resilience is not None else ResilienceConfig.from_env()
-        telemetry = ResilienceTelemetry(pool_mode=res_cfg.pool_mode)
+        telemetry = ResilienceTelemetry()
         breaker = get_breaker()
         if not breaker.allow(res_cfg):
             telemetry.breaker_state = breaker.state
@@ -590,8 +587,6 @@ def autotune(
             )
             report.resilience = telemetry
         else:
-            from ..gpusim.pool import get_pool
-
             # Materialize arguments in config order — the exact order the
             # sequential loop calls make_args() — so stochastic factories
             # feed each config the same arrays either way.
@@ -615,7 +610,7 @@ def autotune(
                     }
                 )
             trips_before = breaker.trips
-            outs = get_pool().run_tasks(
+            outs = gpupool.get_pool().run_tasks(
                 "repro.npc.autotune:_run_tune_task",
                 payloads,
                 shards,

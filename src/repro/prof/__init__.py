@@ -31,7 +31,6 @@ from .report import top_lines_report
 from .timeline import (
     build_timeline,
     chrome_trace,
-    pool_events,
     save_trace,
     serve_events,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ProfileEntry",
     "build_timeline",
     "chrome_trace",
-    "pool_events",
     "clear_registry",
     "get_profile",
     "profile_names",

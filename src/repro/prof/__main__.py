@@ -24,14 +24,11 @@ import sys
 from typing import Optional
 
 
-def _profiled_launch(name: str, backend: str, parallel: Optional[int]):
+def _profiled_launch(name: str, backend: str):
     from ..kernels import BENCHMARKS
 
     bench = BENCHMARKS[name]()
-    result = bench.run_baseline(
-        backend=backend, parallel=parallel, profile=True
-    )
-    return bench, result
+    return bench, bench.run_baseline(backend=backend, profile=True)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -57,12 +54,6 @@ def main(argv: Optional[list] = None) -> int:
             choices=("interp", "compiled"),
             help="execution backend (default: compiled)",
         )
-        p.add_argument(
-            "--parallel",
-            type=int,
-            default=None,
-            help="worker processes for the block scheduler",
-        )
 
     p_trace = sub.add_parser(
         "trace", help="export a Chrome trace_event JSON timeline"
@@ -87,9 +78,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.command == "trace":
         from .timeline import save_trace
 
-        bench, result = _profiled_launch(
-            args.benchmark, args.backend, args.parallel
-        )
+        bench, result = _profiled_launch(args.benchmark, args.backend)
         trace = save_trace(result, args.out)
         meta = trace["otherData"]
         print(
@@ -103,15 +92,13 @@ def main(argv: Optional[list] = None) -> int:
     if args.command == "top":
         from .report import top_lines_report
 
-        bench, result = _profiled_launch(
-            args.benchmark, args.backend, args.parallel
-        )
+        bench, result = _profiled_launch(args.benchmark, args.backend)
         print(top_lines_report(result.profile, bench.source, limit=args.limit))
         return 0
 
     # diff: the CI profiler smoke — both backends must agree bit-for-bit.
-    _, ref = _profiled_launch(args.benchmark, "interp", args.parallel)
-    _, got = _profiled_launch(args.benchmark, "compiled", args.parallel)
+    _, ref = _profiled_launch(args.benchmark, "interp")
+    _, got = _profiled_launch(args.benchmark, "compiled")
     mismatches = ref.profile.diff_lines(got.profile)
     if mismatches:
         print(

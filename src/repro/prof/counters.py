@@ -1,8 +1,8 @@
 """Per-source-line hotspot counters and per-block cost records.
 
 This module is deliberately free of ``repro.gpusim`` imports: the
-launcher, interpreter, compiled backend and scheduler all import it, so
-it must sit below them in the dependency graph.  The hook methods on
+launcher, interpreter and both lowering engines import it, so it must
+sit below them in the dependency graph.  The hook methods on
 :class:`KernelProfile` are called from the warp-execution hot paths of
 *both* backends at mirrored sites (statement entry, memory accesses,
 intrinsic calls, barriers), which is what makes profiles bit-identical
@@ -11,9 +11,9 @@ attribution off the same ``ctx.current_loc`` bookkeeping that the fault
 diagnostics already maintain.
 
 Everything here is a plain dataclass over ints, so profiles pickle
-cleanly across the fork-based scheduler workers and merge exactly
-(integer sums are associative — sequential and parallel runs produce
-equal profiles, which the tests assert).
+cleanly back from worker-pool tasks and merge exactly (integer sums are
+associative — a batched megablock run and a per-block run produce equal
+profiles, which the tests assert).
 """
 
 from __future__ import annotations
@@ -202,11 +202,11 @@ class KernelProfile:
     # ------------------------------------------------------------------
 
     def merge(self, other: "KernelProfile") -> None:
-        """Fold ``other`` into this profile (scheduler-chunk merge).
+        """Fold ``other`` into this profile (e.g. a megablock batch's
+        counters into the launch's).
 
-        Line counters sum field-wise; block records are disjoint across
-        chunks so a plain union suffices, but overlapping ids (a block
-        re-run sequentially after a worker fault) merge additively.
+        Line counters sum field-wise; block records with overlapping ids
+        merge additively.
         """
         if other.kernel and not self.kernel:
             self.kernel = other.kernel

@@ -10,9 +10,9 @@ next to the numeric results.
 
 The registry is process-local module state, like the compile cache —
 ``clear_registry()`` between independent runs, and note that profiles
-recorded inside forked scheduler *workers* never land here (the
-scheduler merges worker profiles into the parent's launch result, which
-is what gets recorded).
+recorded inside forked pool *workers* never land here (a sharded
+autotune ships each worker's profile back on its launch result, which
+is what the parent records).
 """
 
 from __future__ import annotations

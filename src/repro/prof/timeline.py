@@ -103,48 +103,8 @@ def build_timeline(result) -> Timeline:
     return timeline
 
 
-def pool_events(result) -> List[Dict[str, object]]:
-    """Chrome instant ("i") events for the launch's pool lifecycle.
-
-    Each :class:`~repro.gpusim.resilience.PoolEvent` on
-    ``result.resilience`` (worker spawns/kills, retries, deadline kills,
-    breaker transitions…) becomes a thread-scoped instant on a dedicated
-    "worker pool" row.  Timestamps are microseconds of *host* time relative
-    to the first recorded event — the pool supervises real processes, so
-    its events live on the wall clock, not the modeled device clock.
-    """
-    telemetry = getattr(result, "resilience", None)
-    if telemetry is None or not telemetry.events:
-        return []
-    t0 = min(ev.ts for ev in telemetry.events)
-    events: List[Dict[str, object]] = []
-    for ev in telemetry.events:
-        args: Dict[str, object] = {"detail": ev.detail}
-        if ev.worker is not None:
-            args["worker_pid"] = ev.worker
-        if ev.chunk is not None:
-            args["chunk"] = ev.chunk
-        events.append(
-            {
-                "ph": "i",
-                "s": "t",
-                "pid": 0,
-                "tid": POOL_ROW,
-                "ts": (ev.ts - t0) * 1e6,
-                "name": ev.kind,
-                "cat": "pool",
-                "args": args,
-            }
-        )
-    return events
-
-
-#: Trace thread id of the "worker pool" lifecycle row (SMX rows are
-#: 0..num_smx-1; the pool row sits far above so new devices never collide).
-POOL_ROW = 1000
-
-#: Trace thread id of the "disk cache" row (above the pool row for the same
-#: collision-avoidance reason).
+#: Trace thread id of the "disk cache" row (SMX rows are 0..num_smx-1; this
+#: row sits far above so new devices never collide).
 CACHE_ROW = 2000
 
 #: Trace thread id of the "serve" request-traffic row (above the cache row).
@@ -223,12 +183,10 @@ def chrome_trace(result) -> Dict[str, object]:
 
     One process ("gpusim: <kernel>"), one thread row per SMX, a complete
     ("X") event per block and nested per-warp slices inside it.  All
-    timestamps are microseconds of modeled time.  When the launch ran on
-    the resilient parallel path, a "worker pool" row carries instant
-    events for the pool lifecycle (spawns, retries, kills, breaker
-    transitions) in host microseconds — see :func:`pool_events`.  When the
-    persistent cache tier is active, a "disk cache" row does the same for
-    its hits/misses/stores/evictions — see :func:`cache_events`.  When a
+    timestamps are microseconds of modeled time.  When the persistent
+    cache tier is active, a "disk cache" row carries instant events for
+    its hits/misses/stores/evictions in host microseconds — see
+    :func:`cache_events`.  When a
     kernel server handled requests in this process, a "serve" row carries
     the request lifecycle (arrive/admit/coalesce/complete/shed) — see
     :func:`serve_events`.
@@ -258,19 +216,6 @@ def chrome_trace(result) -> Dict[str, object]:
                 "args": {"name": f"SMX {smx}"},
             }
         )
-
-    lifecycle = pool_events(result)
-    if lifecycle:
-        events.append(
-            {
-                "ph": "M",
-                "pid": 0,
-                "tid": POOL_ROW,
-                "name": "thread_name",
-                "args": {"name": "worker pool"},
-            }
-        )
-        events.extend(lifecycle)
 
     cache_row = cache_events()
     if cache_row:

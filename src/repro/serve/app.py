@@ -17,8 +17,8 @@
 
 Admission control happens before any simulator work:
 
-1. circuit breaker *open* → ``503`` with ``Retry-After`` (the parallel
-   substrate is known-unhealthy; shedding beats queueing);
+1. circuit breaker *open* → ``503`` with ``Retry-After`` (the worker
+   pool is known-unhealthy; shedding beats queueing);
 2. in-flight cap (``max_inflight``) reached → ``503`` with
    ``Retry-After``;
 3. otherwise the request is admitted and carries its own
@@ -225,7 +225,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         metrics.record_event("arrive", tenant=req.tenant,
                              detail=f"{len(body)}B")
 
-        # Admission gate 1: known-unhealthy parallel substrate -> shed.
+        # Admission gate 1: known-unhealthy worker pool -> shed.
         breaker = get_breaker()
         if breaker.state == "open":
             counters.bump("shed_breaker")
@@ -279,8 +279,6 @@ class ServeHandler(BaseHTTPRequestHandler):
         launch_kwargs = {}
         if req.backend is not None:
             launch_kwargs["backend"] = req.backend
-        if req.parallel is not None:
-            launch_kwargs["parallel"] = req.parallel
         if req.profile:
             launch_kwargs["profile"] = True
         deadline = (

@@ -70,7 +70,6 @@ class ServeClient:
         tenant: str = "default",
         const_arrays: Optional[Dict[str, np.ndarray]] = None,
         backend: Optional[str] = None,
-        parallel: Optional[int] = None,
         profile: bool = False,
         deadline_ms: Optional[float] = None,
     ) -> dict:
@@ -99,8 +98,6 @@ class ServeClient:
         options = {}
         if backend is not None:
             options["backend"] = backend
-        if parallel is not None:
-            options["parallel"] = parallel
         if profile:
             options["profile"] = True
         if deadline_ms is not None:

@@ -14,7 +14,6 @@ A launch request is one JSON object::
       "const_arrays": { ... same encoding ... },   # optional
       "options": {                                  # all optional
         "backend": "interp",              # megablock (default) | compiled | interp
-        "parallel": 2,                    # worker count for the pool path
         "profile": true,                  # per-line counters in response
         "deadline_ms": 2000               # per-request completion deadline
       }
@@ -26,9 +25,9 @@ server's ``GPUSIM_BACKEND`` says otherwise).  The response names the
 engine that ran in its ``backend`` field and carries the final buffer
 contents (same ndarray encoding), the
 :class:`~repro.gpusim.stats.KernelStats` counters, the modeled
-milliseconds, the resilience telemetry summary when the pool ran, and —
-with ``"profile": true`` — the per-line profile plus the name it was
-recorded under in the :mod:`repro.prof` registry.
+milliseconds, the megablock fallback reason, and — with
+``"profile": true`` — the per-line profile plus the name it was recorded
+under in the :mod:`repro.prof` registry.
 
 Identical concurrent requests are *coalesced*: the coalescing key is a
 sha256 over the canonical request content (raw kernel source digest,
@@ -43,6 +42,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -88,7 +88,7 @@ def decode_array(obj, name: str = "?") -> np.ndarray:
         shape = obj.get("shape")
         if shape is not None:
             arr = arr.reshape([int(s) for s in shape])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ProtocolError(f"array argument {name!r} is corrupt: {exc}") from None
     return arr
 
@@ -104,7 +104,6 @@ class LaunchRequest:
     args: Dict[str, object]                 # name -> scalar | ndarray
     const_arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     backend: Optional[str] = None
-    parallel: Optional[int] = None
     profile: bool = False
     deadline_ms: Optional[float] = None
 
@@ -114,10 +113,16 @@ class LaunchRequest:
 
 
 def parse_request(body: bytes) -> LaunchRequest:
-    """Decode and validate one request body; raises :class:`ProtocolError`."""
+    """Decode and validate one request body; raises :class:`ProtocolError`.
+
+    Any malformed body, however nested or mistyped, ends in
+    :class:`ProtocolError` (HTTP 400), never in another exception.
+    """
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer
+        # literals; RecursionError covers absurdly deep nesting.
         raise ProtocolError(f"request body is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("request body must be a JSON object")
@@ -129,12 +134,11 @@ def parse_request(body: bytes) -> LaunchRequest:
 
     def dim(name):
         value = payload[name]
-        if isinstance(value, list):
-            value = tuple(value)
-        if not isinstance(value, (int, tuple)):
+        items = value if isinstance(value, list) else [value]
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in items):
             raise ProtocolError(f'"{name}" must be an int or a list of ints')
         try:
-            return _as_dim3(value)
+            return _as_dim3(tuple(value) if isinstance(value, list) else value)
         except LaunchError as exc:
             raise ProtocolError(f'"{name}": {exc}') from None
 
@@ -165,17 +169,16 @@ def parse_request(body: bytes) -> LaunchRequest:
     backend = options.get("backend")
     if backend is not None and backend not in ("interp", "compiled", "megablock"):
         raise ProtocolError(f"unknown backend {backend!r}")
-    parallel = options.get("parallel")
-    if parallel is not None and (not isinstance(parallel, int) or parallel < 1):
-        raise ProtocolError('"options.parallel" must be a positive int')
     deadline_ms = options.get("deadline_ms")
     if deadline_ms is not None:
         try:
             deadline_ms = float(deadline_ms)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ProtocolError('"options.deadline_ms" must be a number') from None
-        if deadline_ms <= 0:
-            raise ProtocolError('"options.deadline_ms" must be positive')
+        if not (math.isfinite(deadline_ms) and deadline_ms > 0):
+            raise ProtocolError(
+                '"options.deadline_ms" must be a positive, finite number'
+            )
 
     tenant = payload.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
@@ -189,7 +192,6 @@ def parse_request(body: bytes) -> LaunchRequest:
         args=args,
         const_arrays=const_arrays,
         backend=backend,
-        parallel=parallel,
         profile=bool(options.get("profile", False)),
         deadline_ms=deadline_ms,
     )
@@ -201,8 +203,8 @@ def coalesce_key(req: LaunchRequest) -> str:
     Tenant identity and the deadline are deliberately *excluded*: two
     tenants asking for the same kernel on the same bytes get the same
     bits back, so they may share the launch.  Everything that could change
-    the output — source, shape, backend, profiling, parallelism, scalar
-    values, array contents — is included.
+    the output — source, shape, backend, profiling, scalar values, array
+    contents — is included.
     """
     digest = hashlib.sha256()
     head = {
@@ -211,7 +213,6 @@ def coalesce_key(req: LaunchRequest) -> str:
         "grid": list(req.grid),
         "block": list(req.block),
         "backend": req.backend,
-        "parallel": req.parallel,
         "profile": req.profile,
     }
     digest.update(json.dumps(head, sort_keys=True).encode())
@@ -227,23 +228,6 @@ def coalesce_key(req: LaunchRequest) -> str:
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(req.const_arrays[name]).tobytes())
     return digest.hexdigest()
-
-
-def _resilience_summary(telemetry) -> Optional[dict]:
-    if telemetry is None:
-        return None
-    return {
-        "pool_mode": telemetry.pool_mode,
-        "workers": telemetry.workers,
-        "chunks": telemetry.chunks,
-        "attempts": telemetry.attempts,
-        "retries": telemetry.retries,
-        "deadline_kills": telemetry.deadline_kills,
-        "worker_crashes": telemetry.worker_crashes,
-        "breaker_state": telemetry.breaker_state,
-        "degraded": telemetry.degraded,
-        "events": len(telemetry.events),
-    }
 
 
 def encode_result(
@@ -273,10 +257,7 @@ def encode_result(
         "timing_ms": (
             result.timing.milliseconds if result.timing is not None else None
         ),
-        "parallel_workers": result.parallel_workers,
-        "parallel_fallback": result.parallel_fallback,
         "megablock_fallback": result.megablock_fallback,
-        "resilience": _resilience_summary(result.resilience),
     }
     if result.error is not None:
         body["error"] = {

@@ -18,12 +18,9 @@ the deterministic segmented reduce, and BK — the one paper benchmark built
 on ``atomicAdd`` — now rides it with ``megablock_megawarp`` set.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.gpusim import scheduler
 from repro.gpusim.faults import FaultInjector, FaultSpec
 from repro.gpusim.launch import run_kernel
 from repro.kernels import BENCHMARKS
@@ -117,30 +114,6 @@ def test_profile_bit_identical_across_backends(benches, name, backend):
     assert not mismatches, f"{name}: " + "; ".join(mismatches[:10])
     assert ref.profile.blocks == got.profile.blocks, f"{name}: block costs"
     assert ref.profile.total_issues > 0
-
-
-@pytest.mark.skipif(not scheduler.available(), reason="needs POSIX fork")
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_stats_and_profile_sequential_vs_parallel(benches, name, backend):
-    """Chunk merging in the parallel scheduler must reproduce the sequential
-    stats exactly (every KernelStats field merges by summation — nothing is
-    max- or last-writer-merged) and the per-line profiles likewise.  For the
-    megablock backend this also proves chunked batching (one megablock per
-    worker chunk) equals one whole-grid batch."""
-    bench = benches[name]
-    seq = bench.run_baseline(backend=backend, profile=True)
-    par = bench.run_baseline(backend=backend, profile=True, parallel=2)
-    for f in dataclasses.fields(seq.stats):
-        assert getattr(seq.stats, f.name) == getattr(par.stats, f.name), (
-            f"{name}: stats field {f.name} diverged under parallel scheduling"
-        )
-    assert seq.profile == par.profile, (
-        f"{name}: " + "; ".join(seq.profile.diff_lines(par.profile)[:10])
-    )
-    # Kernels that refuse to parallelize must say why.
-    if par.parallel_workers is None:
-        assert par.parallel_fallback is not None
 
 
 def test_trace_records_identical():
@@ -268,7 +241,7 @@ class TestMegablockFallbacks:
 
     def test_worker_only_faults_do_not_force_fallback(self):
         """Pool-level faults need no interpreter hooks, so they do not block
-        batching — same rule the parallel scheduler applies."""
+        batching; only the worker pool consults them."""
         injector = FaultInjector([FaultSpec(kind="worker_slow", delay=0.0)])
         result = self._run(faults=injector)
         assert result.megablock_fallback is None

@@ -30,10 +30,8 @@ def test_bench_kernel_record():
     assert rec["interp_ms"] > 0 and rec["compiled_ms"] > 0
     assert rec["speedup_compiled"] > 0
     assert rec["best_ms"] <= rec["compiled_ms"]
-    assert rec["parallel_ms"] is None  # not requested
-    # The skip reason and the megawarp flag are always present, so both
-    # round-trip through BENCH_gpusim.json.
-    assert rec["skipped"] == "not-requested"
+    # The megawarp flag is always present, so it round-trips through
+    # BENCH_gpusim.json.
     assert rec["megablock_megawarp"] in (True, False, None)
     if rec["megablock_fallback"] is None:
         assert rec["megablock_megawarp"] is not None
@@ -48,7 +46,7 @@ def test_main_quick_writes_json(tmp_path, capsys):
     assert report["geomean_speedup"] > 0
     assert report["host"]["cpu_count"] >= 1
     for rec in report["kernels"].values():
-        assert "skipped" in rec and "megablock_megawarp" in rec
+        assert "megablock_megawarp" in rec
     printed = capsys.readouterr().out
     assert "geomean" in printed
     assert " mw " in printed.splitlines()[0] or "mw" in printed.splitlines()[0]
@@ -61,14 +59,13 @@ def test_main_kernel_subset(tmp_path):
     assert list(report["kernels"]) == ["CFD"]
 
 
-def _fake_report(ratio, fallback=None, megawarp=True, skipped=None):
+def _fake_report(ratio, fallback=None, megawarp=True):
     return {
         "kernels": {
             "MC": {
                 "megablock_over_compiled": ratio,
                 "megablock_fallback": fallback,
                 "megablock_megawarp": megawarp,
-                "skipped": skipped,
             }
         }
     }
@@ -110,12 +107,6 @@ class TestCompareReports:
         ok, table = compare_reports(fresh, base)
         assert not ok  # only kernel is non-comparable
         assert "baseline-fallback:atomics" in table
-
-    def test_skip_reasons_round_trip(self):
-        fresh = _fake_report(2.0, skipped="scheduler-unavailable")
-        ok, table = compare_reports(fresh, _fake_report(2.0))
-        assert ok
-        assert "scheduler-unavailable" in table
 
     def test_megawarp_transition_noted(self):
         fresh = _fake_report(2.5, megawarp=True)
@@ -185,7 +176,6 @@ def test_compare_cli_exit_codes(tmp_path):
                 "megablock_over_compiled": 0.001,
                 "megablock_fallback": None,
                 "megablock_megawarp": True,
-                "skipped": None,
             }
         }
     }

@@ -62,12 +62,7 @@ class TestReadme:
         assert "launch(..., profile=True)" in readme
         assert "profile" in inspect.signature(launch).parameters
         fields = {f.name for f in LaunchResult.__dataclass_fields__.values()}
-        assert {"profile", "parallel_fallback"} <= fields
-        # Every documented fallback reason is one the launcher can emit.
-        for reason in ("single-block", "trace", "faults", "sanitizer",
-                       "atomics", "unavailable", "worker-fault",
-                       "breaker-open"):
-            assert f'"{reason}"' in readme, reason
+        assert {"profile", "megablock_fallback"} <= fields
         # Every `repro.prof` subcommand shown in the README parses.
         from repro.prof.__main__ import main  # noqa: F401  (import works)
 
@@ -81,8 +76,9 @@ class TestReadme:
         import inspect
 
         from repro.gpusim import resilience
-        from repro.gpusim.launch import LaunchResult, launch
+        from repro.gpusim.pool import WorkerPool
         from repro.gpusim.stream import Stream, launch_async  # noqa: F401
+        from repro.npc.autotune import AutotuneReport, autotune
 
         readme = (ROOT / "README.md").read_text()
         assert "## Resilience" in readme
@@ -91,12 +87,13 @@ class TestReadme:
         env_src = from_env_src + inspect.getsource(resilience)
         for knob in re.findall(r"`(GPUSIM_[A-Z_]+)`", section):
             assert knob in env_src, f"{knob} documented but never read"
-        for knob in ("GPUSIM_POOL", "GPUSIM_LAUNCH_TIMEOUT",
-                     "GPUSIM_MAX_RETRIES", "GPUSIM_BREAKER_THRESHOLD"):
+        for knob in ("GPUSIM_LAUNCH_TIMEOUT", "GPUSIM_MAX_RETRIES",
+                     "GPUSIM_BREAKER_THRESHOLD"):
             assert knob in section, f"{knob} missing from Resilience section"
-        assert "resilience" in inspect.signature(launch).parameters
-        fields = {f.name for f in LaunchResult.__dataclass_fields__.values()}
-        assert "resilience" in fields
+        assert "resilience" in inspect.signature(autotune).parameters
+        assert "resilience" in AutotuneReport.__dataclass_fields__
+        assert "WorkerPool.run_tasks" in section
+        assert hasattr(WorkerPool, "run_tasks") and hasattr(WorkerPool, "drain")
         assert hasattr(Stream, "synchronize")
 
     def test_caching_section_documents_real_knobs(self):
@@ -167,10 +164,10 @@ class TestReadme:
         launch_src = inspect.getsource(
             __import__("repro.gpusim.launch", fromlist=["launch"])
         )
-        # "atomics" stays a parallel-scheduler reason; the megablock ladder
-        # replaced it with "atomic-order" (order-free atomics now batch).
+        # "atomic-order" is the megablock ladder's atomics reason (order-free
+        # atomics batch).
         for reason in ("single-block", "trace", "faults", "sanitizer",
-                       "atomic-order", "atomics", "sim-fault"):
+                       "atomic-order", "sim-fault"):
             assert f'"{reason}"' in readme, reason
             assert f'"{reason}"' in launch_src, reason
         # The bench columns the README describes are the ones bench emits.
@@ -180,7 +177,7 @@ class TestReadme:
 
         bench_src = _inspect.getsource(bench)
         for column in ("megablock_ms", "speedup_megablock", "compile_ms",
-                       "skipped", "megablock_megawarp"):
+                       "megablock_megawarp"):
             assert f'"{column}"' in bench_src, column
             assert f"`{column}`" in readme or f'"{column}"' in readme, column
 
@@ -213,8 +210,7 @@ class TestReadme:
         # Wire schema fields the section names exist in the protocol.
         protocol_src = inspect.getsource(protocol)
         for field in ("kernel", "grid", "block", "args", "const_arrays",
-                      "tenant", "backend", "parallel", "profile",
-                      "deadline_ms"):
+                      "tenant", "backend", "profile", "deadline_ms"):
             assert f'"{field}"' in protocol_src, field
         # Documented status codes are ones the app emits.
         app_src = inspect.getsource(app)

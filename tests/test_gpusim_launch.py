@@ -171,6 +171,51 @@ class TestSampling:
         assert res.sampled_blocks is None
 
 
+SCALE = """
+__global__ void scale(float* out, const float* a, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) out[i] = a[i] * 2.0f + (float)blockIdx.x;
+}
+"""
+
+
+def scale_args():
+    rng = np.random.default_rng(11)
+    return {
+        "out": np.zeros(256, np.float32),
+        "a": rng.standard_normal(256).astype(np.float32),
+        "n": 256,
+    }
+
+
+class TestBlockSampling:
+    def test_sampled_ids_deduped_and_recorded(self):
+        # 8 blocks sampled 5 ways: int(i * 8/5) = 0,1,3,4,6 — no duplicates
+        # survive even when truncation collides.
+        res = run_kernel(
+            SCALE, 8, 32, scale_args(), backend="compiled", sample_blocks=5
+        )
+        ids = res.sampled_block_ids
+        assert ids is not None
+        assert list(ids) == sorted(set(ids))
+        assert len(ids) == len(set(ids))
+        assert res.sampled_blocks == len(ids)
+
+    def test_truncation_collision_deduped(self):
+        # 3 samples of 2 blocks: int(0*2/3)=0, int(1*2/3)=0, int(2*2/3)=1
+        # — naive generation repeats block 0.
+        res = run_kernel(
+            SCALE, 2, 32, scale_args(), sample_blocks=3, backend="compiled"
+        )
+        assert res.sampled_block_ids is None or len(
+            res.sampled_block_ids
+        ) == len(set(res.sampled_block_ids))
+
+    def test_full_grid_has_no_sampled_ids(self):
+        res = run_kernel(SCALE, 8, 32, scale_args(), backend="compiled")
+        assert res.sampled_block_ids is None
+
+
 class TestUsageOverride:
     def test_explicit_usage_controls_occupancy(self):
         from repro.gpusim.occupancy import ResourceUsage

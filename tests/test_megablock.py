@@ -3,17 +3,13 @@
 The end-to-end bit-identity contract lives in
 ``tests/test_backend_differential.py``; this file pins down the batched
 building blocks — per-row stat reductions, block-varying shuffle rejection,
-the batched memory slabs, and worker-pool chunk composition — so a
-regression localizes to the helper that drifted instead of a whole-kernel
-diff.
+and the batched memory slabs — so a regression localizes to the helper that
+drifted instead of a whole-kernel diff.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.gpusim import scheduler
 from repro.gpusim.errors import SimError
 from repro.gpusim.launch import run_kernel
 from repro.gpusim.megablock import (
@@ -166,35 +162,3 @@ def test_barrier_kernel_runs_batched_and_matches_interp():
         == got.gmem.buffers()["out"].data.tobytes()
     )
     assert ref.stats == got.stats
-
-
-# ---------------------------------------------------------------------------
-# Worker-pool composition: chunked megablocks merge to the sequential batch
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(not scheduler.available(), reason="needs POSIX fork")
-def test_parallel_megablock_chunks_match_sequential_batch():
-    src = """
-    __global__ void k(float* out, const float* a) {
-        int i = blockIdx.x * blockDim.x + threadIdx.x;
-        float acc = 0.0f;
-        for (int j = 0; j < 8; j++) acc = acc + a[i] * (float)j;
-        out[i] = acc;
-    }
-    """
-    rng = np.random.default_rng(21)
-    a = rng.standard_normal(512, dtype=np.float32)
-    args = lambda: {"out": np.zeros(512, dtype=np.float32), "a": a.copy()}
-    seq = run_kernel(src, 16, 32, args(), backend="megablock", profile=True)
-    par = run_kernel(
-        src, 16, 32, args(), backend="megablock", profile=True, parallel=2
-    )
-    assert seq.megablock_fallback is None and par.megablock_fallback is None
-    assert (
-        seq.gmem.buffers()["out"].data.tobytes()
-        == par.gmem.buffers()["out"].data.tobytes()
-    )
-    for f in dataclasses.fields(seq.stats):
-        assert getattr(seq.stats, f.name) == getattr(par.stats, f.name), f.name
-    assert seq.profile == par.profile

@@ -114,7 +114,7 @@ def test_launch_variant_auto_allocates_scratch():
 # -- sharded search ----------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(
-    not __import__("repro.gpusim.scheduler", fromlist=["available"]).available(),
+    not __import__("repro.gpusim.pool", fromlist=["available"]).available(),
     reason="needs POSIX fork",
 )
 
@@ -186,8 +186,9 @@ class TestShardedAutotune:
         )
 
     def test_sequential_env_never_shards(self, monkeypatch):
-        """Only an explicit parallel= arg shards; env knobs never do."""
-        monkeypatch.setenv("GPUSIM_PARALLEL", "4")
+        """Only an explicit parallel= arg shards; the pool's env knobs
+        never do."""
+        monkeypatch.setenv("GPUSIM_MAX_RETRIES", "4")
         rep = self._bench().autotune(configs=self._configs()[:2])
         assert rep.resilience is None
 

@@ -270,10 +270,10 @@ class TestVariantCacheForkAccounting:
         import multiprocessing
         import os
 
-        from repro.gpusim import scheduler
+        from repro.gpusim import pool as gpupool
         from repro.npc.pipeline import variant_cache_stats
 
-        if not scheduler.available():
+        if not gpupool.available():
             pytest.skip("needs POSIX fork")
         cfg = NpConfig(slave_size=4, np_type="inter")
         compile_np(parse_kernel(TMV), 32, cfg)

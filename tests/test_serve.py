@@ -1,11 +1,13 @@
 """Kernel-server tests: protocol, coalescing, admission control, drain."""
 
+import base64
 import json
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpusim.resilience import get_breaker, reset_breaker
 from repro.gpusim.stream import Event, Stream
@@ -102,9 +104,22 @@ class TestProtocol:
             json.dumps({"kernel": "", "grid": 1, "block": 1}).encode(),
             json.dumps({"kernel": SAXPY, "grid": 1}).encode(),
             json.dumps({**good, "grid": [1, 2, 3, 4]}).encode(),
+            # Every grid/block element must be an int.
+            *(json.dumps({**good, field: value}).encode()
+              for field in ("grid", "block")
+              for value in ([[1]], ["a"], [None], [1.5], [1, [2]], True,
+                            [True], 2.0)),
             json.dumps({**good, "options": {"backend": "cuda"}}).encode(),
             json.dumps({**good, "options": {"deadline_ms": -1}}).encode(),
-            json.dumps({**good, "options": {"parallel": 0}}).encode(),
+            # Deadlines must be finite (a NaN one would answer 504 at once).
+            *(json.dumps({**good, "options": {"deadline_ms": value}}).encode()
+              for value in ("nan", "inf", "-inf", float("nan"),
+                            float("inf"), 10**400)),
+            json.dumps({**good, "args": {"x": {
+                "dtype": "float32", "shape": [float("inf")], "data": ""}}},
+            ).encode(),
+            b"[" * 100_000,                # nesting past the recursion limit
+            b"1" * 5000,                   # integer literal past the digit cap
             json.dumps({**good, "tenant": ""}).encode(),
             json.dumps(
                 {**good, "args": {"x": {"dtype": "float16", "data": ""}}}
@@ -418,10 +433,13 @@ class TestServerHTTP:
         assert "out of range" in body["error"]["message"]
 
     def test_malformed_request_400(self, client):
-        with pytest.raises(ServeError) as excinfo:
-            client._request("POST", "/v1/launch", {"kernel": ""})
-        assert excinfo.value.status == 400
-        assert excinfo.value.body["kind"] == "protocol"
+        # A non-int grid element is answered, not a dropped connection.
+        for body in ({"kernel": ""}, {"kernel": SAXPY, "grid": [[1]],
+                                      "block": 64}):
+            with pytest.raises(ServeError) as excinfo:
+                client._request("POST", "/v1/launch", body)
+            assert excinfo.value.status == 400
+            assert excinfo.value.body["kind"] == "protocol"
 
     def test_unknown_path_404(self, client):
         with pytest.raises(ServeError) as excinfo:
@@ -543,3 +561,76 @@ class TestServeTimeline:
             if e.get("name") == "thread_name"
         }
         assert "serve" in names
+
+
+# -- parse_request fuzzer ----------------------------------------------------
+
+#: Any JSON value, nested a few levels deep (NaN and the infinities
+#: included: Python's json module reads and writes them).
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+#: Array objects that are malformed in every field the decoder reads.
+_array = st.fixed_dictionaries(
+    {},
+    optional={
+        "dtype": st.sampled_from(
+            ["float32", "int32", "uint8", "float16", "bool"]) | _json,
+        "shape": st.lists(st.integers(-3, 70) | _json, max_size=4) | _json,
+        "data": st.binary(max_size=24).map(
+            lambda b: base64.b64encode(b).decode()) | st.text(max_size=12)
+        | _json,
+    },
+)
+
+_dim = st.integers(-2, 70) | st.lists(st.integers(-2, 70) | _json, max_size=5) | _json
+
+_payloads = st.fixed_dictionaries(
+    {},
+    optional={
+        "kernel": st.just(SAXPY) | _json,
+        "grid": _dim,
+        "block": _dim,
+        "tenant": st.text(max_size=6) | _json,
+        "args": st.dictionaries(st.text(max_size=4),
+                                _array | st.integers() | st.floats() | _json,
+                                max_size=4) | _json,
+        "const_arrays": st.dictionaries(st.text(max_size=4), _array,
+                                        max_size=2) | _json,
+        "options": st.fixed_dictionaries({}, optional={
+            "backend": st.sampled_from(["interp", "compiled", "megablock"])
+            | _json,
+            "deadline_ms": st.floats() | st.integers() | st.text(max_size=6)
+            | _json,
+            "profile": _json,
+        }) | _json,
+    },
+) | _json
+
+
+def _assert_parses_or_rejects(body: bytes) -> None:
+    try:
+        req = parse_request(body)
+    except ProtocolError:
+        return
+    assert isinstance(req.grid, tuple) and isinstance(req.block, tuple)
+    assert req.deadline_ms is None or req.deadline_ms > 0
+
+
+class TestProtocolFuzz:
+    """Arbitrary payloads may only ever yield a request or a
+    ProtocolError (HTTP 400) — never another exception."""
+
+    @settings(max_examples=400)
+    @given(_payloads)
+    def test_json_payloads(self, payload):
+        _assert_parses_or_rejects(json.dumps(payload).encode())
+
+    @settings(max_examples=150)
+    @given(st.binary(max_size=64))
+    def test_raw_bytes(self, body):
+        _assert_parses_or_rejects(body)
