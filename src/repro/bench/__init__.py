@@ -1,17 +1,17 @@
-"""Wall-clock benchmark harness for the three execution backends.
+"""Wall-clock benchmark harness for the two execution backends.
 
-The simulator has a *modeled* clock (:mod:`repro.gpusim.timing`) that all
+The simulator has a *modeled* clock (:mod:`repro.gpusim.timing`) that both
 backends report identically; this harness measures the other axis — how long
-the simulator itself takes to run a kernel — so the closure-compiled and
-batch-vectorized megablock engines' speedups over the tree-walking
-interpreter have a recorded trajectory.
+the simulator itself takes to run a kernel — so the batch-vectorized
+megablock engine's speedup over the tree-walking interpreter has a recorded
+trajectory.
 
 ``python -m repro.bench`` times each selected paper benchmark on the
-interpreter, the compiled backend, and the megablock backend (compile caches
-warmed first, so the once-per-source lowering cost is excluded and recorded
-separately as ``compile_ms``), and writes ``BENCH_gpusim.json``.  Timings
-are best-of-``repeats`` wall-clock; speedups are interp/<backend> per kernel
-plus geometric means.
+interpreter and on the megablock backend (compile caches warmed first, so
+the once-per-source lowering cost is excluded and recorded separately as
+``compile_ms``), and writes ``BENCH_gpusim.json``.  Timings are
+best-of-``repeats`` wall-clock; ``speedup_megablock`` is interp/megablock
+per kernel, plus geometric means.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def _compile_split(bench) -> tuple[dict, int, str]:
 
     The execute-time columns are measured with warm caches; this records the
     other half of the compile-vs-execute split explicitly so the JSON shows
-    what a cold first launch would add.  Three components: the two engine
-    lowerings (``cache=False``) and the NP source-to-source transform over
+    what a cold first launch would add.  Two components: the megablock
+    lowering (``cache=False``) and the NP source-to-source transform over
     the kernel's full variant space (in-memory variant cache cleared first,
     so with the persistent disk tier active a warm process pays only
     rehydration — the cold-vs-warm CI gate keys off this column).
@@ -78,20 +78,15 @@ def _compile_split(bench) -> tuple[dict, int, str]:
     variant sources in config order (warm and cold runs must agree
     bit-for-bit).
     """
-    from ..gpusim.compile import compile_kernel
     from ..gpusim.megablock import compile_megablock
     from ..minicuda.errors import MiniCudaError
     from ..minicuda.pretty import emit_kernel
     from ..npc.pipeline import clear_variant_cache
 
     split = {}
-    for column, lower in (
-        ("compiled", compile_kernel),
-        ("megablock", compile_megablock),
-    ):
-        t0 = time.perf_counter()
-        lower(bench.kernel, cache=False)
-        split[column] = round((time.perf_counter() - t0) * 1e3, 3)
+    t0 = time.perf_counter()
+    compile_megablock(bench.kernel, cache=False)
+    split["megablock"] = round((time.perf_counter() - t0) * 1e3, 3)
 
     clear_variant_cache()
     configs = bench.configs()
@@ -125,24 +120,20 @@ def _output_digest(result) -> str:
 
 
 def bench_kernel(name: str, repeats: int = 3, profile: bool = False) -> dict:
-    """Time one benchmark on all three backends; returns a JSON-ready record.
+    """Time one benchmark on both backends; returns a JSON-ready record.
 
     ``profile=True`` additionally runs one *untimed* profiled launch per
     backend (profiling hooks would distort the wall-clock comparison) and
     records the profiles in the :mod:`repro.prof` registry as
-    ``"bench/<name>/interp"`` / ``"bench/<name>/compiled"`` /
-    ``"bench/<name>/megablock"``.
+    ``"bench/<name>/interp"`` / ``"bench/<name>/megablock"``.
     """
     from ..gpusim.diskcache import disk_cache_stats
 
     bench = BENCHMARKS[name]()
-    # Warm the kernel compile caches so lowering cost is excluded from the
+    # Warm the kernel compile cache so lowering cost is excluded from the
     # execute columns (it is a once-per-source cost shared by every later
     # launch); the cold cost is recorded separately below.
-    bench.run_baseline(backend="compiled", sample_blocks=1)
-    from ..gpusim.megablock import compile_megablock
-
-    compile_megablock(bench.kernel)  # warm the #mb cache entry (digest-keyed)
+    bench.run_baseline(backend="megablock", sample_blocks=1)
     cache_before = disk_cache_stats("variant")
     compile_ms, np_variants, variants_digest = _compile_split(bench)
     cache_after = disk_cache_stats("variant")
@@ -150,7 +141,7 @@ def bench_kernel(name: str, repeats: int = 3, profile: bool = False) -> dict:
     if profile:
         from ..prof import record_profile
 
-        for backend in ("interp", "compiled", "megablock"):
+        for backend in ("interp", "megablock"):
             profiled = bench.run_baseline(backend=backend, profile=True)
             record_profile(
                 f"bench/{name}/{backend}",
@@ -159,18 +150,17 @@ def bench_kernel(name: str, repeats: int = 3, profile: bool = False) -> dict:
             )
 
     interp_s, _ = _time_launch(bench, repeats, backend="interp")
-    compiled_s, compiled_result = _time_launch(bench, repeats, backend="compiled")
     mega_s, mega_result = _time_launch(bench, repeats, backend="megablock")
-    record = {
-        "grid": compiled_result.grid,
-        "block": compiled_result.block,
+    return {
+        "grid": mega_result.grid,
+        "block": mega_result.block,
         "compile_ms": compile_ms,
         # How many NP variants the np_transform column covers, and digests
         # proving cold and warm (disk-tier) runs produce identical code and
         # identical execution — the cold-vs-warm CI gate compares these.
         "np_variants": np_variants,
         "variants_digest": variants_digest,
-        "output_digest": _output_digest(compiled_result),
+        "output_digest": _output_digest(mega_result),
         # Disk-tier traffic of this kernel's np_transform measurement
         # (all zeros when no GPUSIM_CACHE_DIR is configured).
         "cache": {
@@ -179,21 +169,14 @@ def bench_kernel(name: str, repeats: int = 3, profile: bool = False) -> dict:
             "disk_stores": cache_after.stores - cache_before.stores,
         },
         "interp_ms": round(interp_s * 1e3, 3),
-        "compiled_ms": round(compiled_s * 1e3, 3),
-        "speedup_compiled": round(interp_s / compiled_s, 3),
         "megablock_ms": round(mega_s * 1e3, 3),
         "speedup_megablock": round(interp_s / mega_s, 3),
-        "megablock_over_compiled": round(compiled_s / mega_s, 3),
         "megablock_fallback": mega_result.megablock_fallback,
         # True when the whole grid ran as one flattened (blocks x warps,
-        # lanes) batch — the megawarp fast path; False for per-block
-        # batching; null when the launch fell back entirely.
+        # lanes) batch — the megawarp fast path; False for per-warp-slot
+        # batching; null when the launch fell back to interp.
         "megablock_megawarp": mega_result.megablock_megawarp,
     }
-    best_s = min(compiled_s, mega_s)
-    record["best_ms"] = round(best_s * 1e3, 3)
-    record["speedup_best"] = round(interp_s / best_s, 3)
-    return record
 
 
 def _host_facts() -> dict:
@@ -215,12 +198,7 @@ def run_bench(
         name: bench_kernel(name, repeats=repeats, profile=profile)
         for name in kernels
     }
-    speedups = [r["speedup_best"] for r in records.values()]
-    mega_ratios = [
-        r["megablock_over_compiled"]
-        for r in records.values()
-        if r["megablock_fallback"] is None
-    ]
+    speedups = [r["speedup_megablock"] for r in records.values()]
     from ..gpusim.diskcache import disk_cache_stats, get_disk_cache
 
     disk = get_disk_cache()
@@ -245,14 +223,6 @@ def run_bench(
         },
         "geomean_speedup": round(float(np.exp(np.mean(np.log(speedups)))), 3),
         "max_speedup": round(max(speedups), 3),
-        # Megablock-over-compiled geomean across batch-eligible kernels
-        # (fallback kernels run the same per-block engine on both columns,
-        # so including them would just dilute the ratio toward 1).
-        "geomean_megablock_over_compiled": (
-            round(float(np.exp(np.mean(np.log(mega_ratios)))), 3)
-            if mega_ratios
-            else None
-        ),
     }
     if profile:
         from ..prof import registry_to_json
@@ -266,9 +236,10 @@ def compare_reports(
 ) -> tuple[bool, str]:
     """Regression gate: ``fresh`` vs a committed ``baseline`` report.
 
-    Compares each kernel's megablock-over-compiled ratio (both columns are
-    measured on the same host in the same run, so the ratio is stable where
-    absolute milliseconds are not).  Kernels that fell back in either
+    Compares each kernel's ``speedup_megablock`` (interp over megablock;
+    both columns are measured on the same host in the same run, so the
+    ratio is stable where absolute milliseconds are not).  Kernels that
+    fell back in either
     report are excluded from the geomean but still listed with their
     fallback reason, so a kernel silently dropping off the fast path shows
     up in the table rather than vanishing from the gate.
@@ -290,26 +261,26 @@ def compare_reports(
             reason = f"fallback:{rec['megablock_fallback']}"
         elif base.get("megablock_fallback") is not None:
             reason = f"baseline-fallback:{base['megablock_fallback']}"
-        elif not base.get("megablock_over_compiled"):
+        elif not base.get("speedup_megablock"):
             reason = "no-baseline-ratio"
         if reason is not None:
             rows.append((
                 name,
-                base.get("megablock_over_compiled"),
-                rec.get("megablock_over_compiled"),
+                base.get("speedup_megablock"),
+                rec.get("speedup_megablock"),
                 None,
                 reason,
             ))
             continue
-        delta = rec["megablock_over_compiled"] / base["megablock_over_compiled"]
+        delta = rec["speedup_megablock"] / base["speedup_megablock"]
         deltas.append(delta)
         note = "ok" if delta >= threshold else "REGRESSED"
         if rec.get("megablock_megawarp") and not base.get("megablock_megawarp"):
             note += " (now megawarp)"
         rows.append((
             name,
-            base["megablock_over_compiled"],
-            rec["megablock_over_compiled"],
+            base["speedup_megablock"],
+            rec["speedup_megablock"],
             delta,
             note,
         ))
@@ -577,7 +548,7 @@ def format_report(report: dict, cache_stats: bool = False) -> str:
     column (np_transform ms next to the disk tier's hit/miss/store traffic
     for that kernel, straight from the JSON record)."""
     header = (
-        f"{'kernel':6s} {'interp ms':>10s} {'compiled ms':>12s} "
+        f"{'kernel':6s} {'interp ms':>10s} "
         f"{'megablock ms':>13s} {'mw':>4s} {'speedup':>8s}"
     )
     if cache_stats:
@@ -586,12 +557,12 @@ def format_report(report: dict, cache_stats: bool = False) -> str:
     for name, rec in report["kernels"].items():
         mega = f"{rec['megablock_ms']:.1f}"
         if rec["megablock_fallback"] is not None:
-            mega += "*"  # per-block fallback; see megablock_fallback
-        # megawarp column: whole-grid flattened batch / per-block / fallback
+            mega += "*"  # per-block interp fallback; see megablock_fallback
+        # megawarp column: whole-grid flattened batch / per-slot / fallback
         mw = {True: "yes", False: "blk"}.get(rec.get("megablock_megawarp"), "-")
         line = (
-            f"{name:6s} {rec['interp_ms']:10.1f} {rec['compiled_ms']:12.1f} "
-            f"{mega:>13s} {mw:>4s} {rec['speedup_best']:7.2f}x"
+            f"{name:6s} {rec['interp_ms']:10.1f} "
+            f"{mega:>13s} {mw:>4s} {rec['speedup_megablock']:7.2f}x"
         )
         if cache_stats:
             cache = rec.get("cache", {})
@@ -603,13 +574,9 @@ def format_report(report: dict, cache_stats: bool = False) -> str:
             xform_txt = f"{xform:.1f}" if xform is not None else "-"
             line += f" {xform_txt:>12s} {traffic:>12s}"
         lines.append(line)
-    mega_geo = report.get("geomean_megablock_over_compiled")
-    mega_txt = (
-        f"   megablock/compiled {mega_geo:.2f}x" if mega_geo is not None else ""
-    )
     lines.append(
         f"geomean {report['geomean_speedup']:.2f}x   "
-        f"max {report['max_speedup']:.2f}x{mega_txt}"
+        f"max {report['max_speedup']:.2f}x"
     )
     if cache_stats:
         agg = report.get("aggregate_compile_ms")
@@ -706,7 +673,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--compare",
         action="store_true",
-        help="after benchmarking, gate the fresh megablock/compiled ratios "
+        help="after benchmarking, gate the fresh interp/megablock speedups "
         "against --baseline and exit 1 on regression",
     )
     parser.add_argument(

@@ -7,7 +7,8 @@ The substrate that stands in for the paper's GTX 680 / K20c hardware:
 - :mod:`~repro.gpusim.coalescing` — transaction + bank-conflict models
 - :mod:`~repro.gpusim.cache` — functional L1 + analytical capacity model
 - :mod:`~repro.gpusim.interp` — warp-level interpreter (divergence masks)
-- :mod:`~repro.gpusim.compile` — closure-compiled execution engine + cache
+- :mod:`~repro.gpusim.megablock` — batch-vectorized execution engine (default)
+- :mod:`~repro.gpusim.compile` — kernel analyses + digest-keyed lowering cache
 - :mod:`~repro.gpusim.diskcache` — persistent content-addressed cache tier
 - :mod:`~repro.gpusim.pool` — supervised persistent pool for whole-launch tasks
 - :mod:`~repro.gpusim.resilience` — deadlines, retries, circuit breaker
@@ -23,11 +24,9 @@ The substrate that stands in for the paper's GTX 680 / K20c hardware:
 """
 
 from .compile import (
-    CompiledKernel,
     CompileCacheStats,
     clear_compile_cache,
     compile_cache_stats,
-    compile_kernel,
     kernel_digest,
 )
 from .device import FERMI, GTX680, K20C, DeviceSpec

@@ -129,16 +129,6 @@ class WarpContext:
         self.env = env
         self.init_mask = init_mask
         self.inactive = np.zeros(WARP_SIZE, dtype=bool)
-        #: Fast-path flag kept by the closure-compiled backend: True whenever
-        #: ``inactive`` may have set lanes, letting barrier-free straight-line
-        #: code skip the per-statement ``mask & ~inactive`` recomputation.
-        self.has_inactive = False
-        #: The warp's entry mask *object* and whether it covers all 32 lanes.
-        #: The compiled backend's assignment closures use the identity test
-        #: ``mask is entry_mask and entry_full and not has_inactive`` to skip
-        #: the per-lane ``np.where`` merge when every lane is active.
-        self.entry_mask = init_mask
-        self.entry_full = bool(init_mask.all())
         self.returned = np.zeros(WARP_SIZE, dtype=bool)
         self.loop_stack: list[_LoopFrame] = []
         self.stats = stats
@@ -157,8 +147,9 @@ class WarpContext:
         self.sanitizer = sanitizer
         #: Optional :class:`~repro.prof.counters.KernelProfile` fed at the
         #: per-line hook points (statement issue, memory access, intrinsics).
-        #: Both backends call the hooks at mirrored sites keyed off the same
-        #: ``current_loc`` bookkeeping, so profiles are bit-identical.
+        #: The megablock engine calls its batched hooks at mirrored sites
+        #: keyed off the same ``current_loc`` bookkeeping, so profiles are
+        #: bit-identical.
         self.profile = profile
         #: Source location of the statement currently executing.
         self.current_loc = None
@@ -301,10 +292,9 @@ def _make_int_special_impl(fop, ifn):
     return impl
 
 
-#: One implementation function per binary operator.  Both execution backends
-#: (the tree-walking interpreter below and :mod:`repro.gpusim.compile`'s
-#: closure compiler) dispatch through this table, so numeric semantics are
-#: defined exactly once.
+#: One implementation function per binary operator: the reference numeric
+#: semantics.  The megablock engine's ``FAST_BINARY_IMPLS``
+#: (:mod:`repro.gpusim.compile`) mirror it key for key, bit for bit.
 BINARY_IMPLS: dict = {
     "&&": lambda a, b: a.astype(bool) & b.astype(bool),
     "||": lambda a, b: a.astype(bool) | b.astype(bool),
@@ -991,9 +981,7 @@ class BlockExecutor:
     """Runs all warps of one thread block, honouring ``__syncthreads``.
 
     ``scaffold`` caches launch-invariant warp scaffolding (built on demand
-    when omitted, so direct construction keeps working); ``program`` is an
-    optional :class:`repro.gpusim.compile.CompiledKernel` — when given, warps
-    run the closure-compiled body instead of the tree-walking interpreter.
+    when omitted, so direct construction keeps working).
     """
 
     def __init__(
@@ -1010,7 +998,6 @@ class BlockExecutor:
         synccheck: bool = False,
         sanitizer=None,
         scaffold: Optional[WarpScaffold] = None,
-        program=None,
         profile=None,
     ):
         self.kernel = kernel
@@ -1032,7 +1019,6 @@ class BlockExecutor:
         else:
             assert scaffold.kernel is kernel and scaffold.block_dim == block_dim
         self.scaffold = scaffold
-        self.program = program
         cx, cy, cz = block_idx
         self._block_builtins = {
             "blockIdx.x": _broadcast(cx),
@@ -1078,10 +1064,9 @@ class BlockExecutor:
         return env, mask
 
     def run(self) -> None:
-        # One errstate guard covers the whole block: the compiled backend's
-        # fast binary impls omit the interpreter's per-op guards and rely on
-        # this one instead.  For the interpreter itself the per-op guards
-        # become inner duplicates, so its behavior is unchanged.
+        # One errstate guard covers the whole block, the same guard the
+        # megablock executor holds around its batch; the per-op guards
+        # inside become inner duplicates.
         with np.errstate(all="ignore"):
             self._run_block()
 
@@ -1108,16 +1093,12 @@ class BlockExecutor:
                 sanitizer=self.sanitizer,
                 profile=self.profile,
             )
-            if self.program is not None:
-                gen = self.program.warp_iterator(ctx, mask)
-            else:
-                gen = exec_block(ctx, self.kernel.body, mask)
-            warps.append((ctx, gen))
+            warps.append((ctx, exec_block(ctx, self.kernel.body, mask)))
         if self.sanitizer is not None:
             self.sanitizer.begin_block(self.linear_block)
         if self.profile is not None:
-            # Single shared collection point for both backends: per-block
-            # cost records start here, before any warp issues a statement.
+            # Per-block cost records start here, before any warp issues a
+            # statement.
             linear = self.linear_block if self.linear_block is not None else 0
             self.profile.begin_block(linear, num_warps, total)
         self.stats.blocks_executed += 1

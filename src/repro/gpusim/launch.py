@@ -2,8 +2,8 @@
 
 ``launch`` plays the role of ``kernel<<<grid, block>>>(args)``: it allocates
 global buffers for array arguments, runs every thread block on one of the
-simulator's bit-identical engines (by default the batched megablock engine;
-optionally sampling blocks for very large grids), and combines
+simulator's two bit-identical engines (by default the batched megablock
+engine; optionally sampling blocks for very large grids), and combines
 the collected statistics with the occupancy calculator and the Hong–Kim
 timing model into a :class:`LaunchResult`.
 
@@ -30,7 +30,6 @@ import numpy as np
 from ..minicuda.nodes import Kernel, PointerType
 from ..minicuda.parser import parse_kernel
 from ..prof.counters import KernelProfile
-from .compile import compile_kernel
 from .megablock import (
     MegaProfile,
     MegablockExecutor,
@@ -50,11 +49,21 @@ from .timing import TimingResult, estimate_kernel_time
 Dim = Union[int, tuple[int, ...]]
 
 
+#: The engines a launch can name: the batched default, then the reference.
+BACKENDS = ("megablock", "interp")
+
+
 def default_backend() -> str:
     """The engine a launch that names none runs: ``GPUSIM_BACKEND`` when
-    set, else ``"megablock"``, the fastest of the bit-identical engines.
-    ``"interp"`` stays the reference oracle, selected explicitly."""
-    return os.environ.get("GPUSIM_BACKEND") or "megablock"
+    set, else ``"megablock"``, the fast engine.  ``"interp"`` stays the
+    reference oracle, selected explicitly.  Any other value of the variable
+    raises a :class:`ValueError` that names it."""
+    name = os.environ.get("GPUSIM_BACKEND") or "megablock"
+    if name not in BACKENDS:
+        raise ValueError(
+            f"GPUSIM_BACKEND must be 'megablock' or 'interp', got {name!r}"
+        )
+    return name
 
 
 def _as_dim3(value: Dim) -> tuple[int, int, int]:
@@ -96,19 +105,19 @@ class LaunchResult:
     #: The exact (ascending, deduplicated) linear block IDs executed when
     #: ``sample_blocks`` sampled the grid; None for a full-grid launch.
     sampled_block_ids: Optional[tuple[int, ...]] = None
-    #: Execution backend that ran the launch: "interp", "compiled" or
-    #: "megablock".
+    #: Execution backend that ran the launch: "megablock" or "interp".
     backend: str = "interp"
-    #: Why a megablock launch (the default engine) executed blocks through
-    #: the per-block compiled engine instead of the batched block axis;
-    #: None when batching ran or another engine was selected.  One of:
-    #: "single-block", "trace", "faults", "sanitizer", "atomic-order" (the
-    #: kernel uses atomics but cannot flatten the warp axis, so the batch
-    #: could not reproduce sequential atomic order — see
-    #: :func:`~repro.gpusim.megablock.megablock_flatten`),
-    #: "sim-fault" (the batched attempt raised, global memory was restored
-    #: from the launch snapshot, and the per-block rerun reproduced the
-    #: exact semantics).  :attr:`backend` stays "megablock" either way.
+    #: Why a megablock launch (the default engine) executed its blocks one
+    #: at a time on the interp reference engine instead of as one batch;
+    #: None when batching ran or interp was selected.  One of: "trace",
+    #: "faults", "sanitizer" (the launch needs a per-block hook that only
+    #: the interpreter implements), "atomic-order" (the kernel uses atomics
+    #: but cannot flatten the warp axis, so the batch could not reproduce
+    #: sequential atomic order — see
+    #: :func:`~repro.gpusim.megablock.megablock_flatten`), "sim-fault" (the
+    #: batched attempt raised, global memory was restored from the launch
+    #: snapshot, and the per-block rerun reproduced the exact semantics).
+    #: :attr:`backend` stays "megablock" either way.
     megablock_fallback: Optional[str] = None
     #: Whether the batched megablock run folded the warp axis into the batch
     #: (megawarp: one ``(blocks × warps, lanes)`` stack, the only mode that
@@ -116,7 +125,7 @@ class LaunchResult:
     #: it fell back or another engine was selected.
     megablock_megawarp: Optional[bool] = None
     #: Per-line/per-block hotspot counters, when the launch ran with
-    #: ``profile=True`` (None otherwise).  Bit-identical across the three
+    #: ``profile=True`` (None otherwise).  Bit-identical across the two
     #: engines.
     profile: Optional[KernelProfile] = None
     error: Optional[FaultReport] = None
@@ -218,12 +227,12 @@ def launch(
 
     ``backend`` selects the execution engine: ``"megablock"`` (the
     batch-vectorized engine of :mod:`repro.gpusim.megablock`, which runs
-    every block of the grid at once and falls back per block with the
-    reason on :attr:`LaunchResult.megablock_fallback`), ``"compiled"`` (the
-    per-block closure-compiled engine of :mod:`repro.gpusim.compile`), or
-    ``"interp"`` (the tree-walking interpreter, the reference oracle).
-    ``None`` means :func:`default_backend`: ``GPUSIM_BACKEND`` when set,
-    else ``"megablock"``.  All three produce bit-identical results.
+    every block of the grid at once and falls back to the interpreter, one
+    block at a time, with the reason on
+    :attr:`LaunchResult.megablock_fallback`) or ``"interp"`` (the
+    tree-walking interpreter, the reference oracle).  ``None`` means
+    :func:`default_backend`: ``GPUSIM_BACKEND`` when set, else
+    ``"megablock"``.  Both produce bit-identical results.
 
     ``profile=True`` collects per-source-line hotspot counters and
     per-block cost records into :attr:`LaunchResult.profile` (a
@@ -249,10 +258,9 @@ def launch(
     if on_error not in ("raise", "status"):
         raise ValueError(f"on_error must be 'raise' or 'status', got {on_error!r}")
     backend_name = backend if backend is not None else default_backend()
-    if backend_name not in ("interp", "compiled", "megablock"):
+    if backend_name not in BACKENDS:
         raise ValueError(
-            "backend must be 'interp', 'compiled' or 'megablock', "
-            f"got {backend_name!r}"
+            f"backend must be 'megablock' or 'interp', got {backend_name!r}"
         )
 
     stats = KernelStats()
@@ -313,16 +321,14 @@ def launch(
             faults.begin_launch(kernel.name, grid3, block3)
 
         # --- compile / scaffold ---------------------------------------------
-        # Both are launch-invariant: the closure program is cached across
+        # Both are launch-invariant: the lowered program is cached across
         # launches by source digest, the warp scaffolding is shared by every
-        # block of this launch.
-        # The megablock backend keeps the per-block closure program around
-        # too: it is the exact-semantics engine every ineligible or faulted
-        # batch falls back to, its digest keys the batched lowering, and it
-        # carries the resource report the occupancy model reads below.
+        # block of this launch.  The program also carries the resource
+        # report the occupancy model reads below, so a launch that falls
+        # back still lowers it.
         program = (
-            compile_kernel(kernel, profile=profile)
-            if backend_name in ("compiled", "megablock")
+            compile_megablock(kernel, profile=profile)
+            if backend_name == "megablock"
             else None
         )
         scaffold = WarpScaffold(kernel, block3, grid3)
@@ -351,45 +357,39 @@ def launch(
             block_ids = list(range(total_blocks))
 
         # Megablock eligibility: anything needing per-block interpreter
-        # hooks (trace, sim-faults, sanitizers) runs per block; the reason
-        # is observable on the result.  An injector whose every spec
-        # targets the worker pool needs no hooks.  Atomics are batch-safe
-        # since the deterministic sort-by-address fold, but only under the
-        # flattened (megawarp) row order — when a kernel uses atomics and
-        # this launch cannot flatten, it falls back with reason
+        # hooks (trace, sim-faults, sanitizers) runs per block on interp;
+        # the reason is observable on the result.  An injector whose every
+        # spec targets the worker pool needs no hooks.  Atomics are
+        # batch-safe since the deterministic sort-by-address fold, but only
+        # under the flattened (megawarp) row order — when a kernel uses
+        # atomics and this launch cannot flatten, it falls back with reason
         # "atomic-order".
         mega_program = None
-        if backend_name == "megablock":
-            if len(block_ids) < 2:
-                megablock_fallback = "single-block"
-            elif trace:
+        if program is not None:
+            if trace:
                 megablock_fallback = "trace"
             elif faults is not None and not faults.worker_only():
                 megablock_fallback = "faults"
             elif sanitizer is not None:
                 megablock_fallback = "sanitizer"
-            else:
-                candidate = compile_megablock(
-                    kernel, profile=profile, digest=program.digest
+            elif program.uses_atomics and not (
+                program.atomics_exact
+                and megablock_flatten(
+                    program,
+                    scaffold.num_warps,
+                    bool(scaffold.shared_decls),
+                    synccheck,
                 )
-                if candidate.uses_atomics and not (
-                    candidate.atomics_exact
-                    and megablock_flatten(
-                        candidate,
-                        scaffold.num_warps,
-                        bool(scaffold.shared_decls),
-                        synccheck,
-                    )
-                ):
-                    megablock_fallback = "atomic-order"
-                else:
-                    mega_program = candidate
+            ):
+                megablock_fallback = "atomic-order"
+            else:
+                mega_program = program
         ran_megablock = False
         if mega_program is not None:
             # Batched execution is speculative: snapshot global memory,
             # run the whole block axis at once, and on ANY SimError
-            # restore the snapshot and rerun per block — the rerun
-            # reproduces the exact located fault and semantics.
+            # restore the snapshot and rerun per block on interp — the
+            # rerun reproduces the exact located fault and semantics.
             snapshot = {
                 name: buf.data.copy()
                 for name, buf in gmem.buffers().items()
@@ -448,7 +448,6 @@ def launch(
                     synccheck=synccheck,
                     sanitizer=sanitizer,
                     scaffold=scaffold,
-                    program=program,
                     profile=prof_obj,
                 )
                 executor.run()

@@ -1,22 +1,22 @@
 """Batch-vectorized "megablock" execution engine.
 
-The compiled backend (:mod:`repro.gpusim.compile`) removed per-statement
-dispatch but still runs blocks one at a time: every closure executes over a
-``(WARP_SIZE,)`` lane vector, once per block.  For independent blocks — no
-trace, sim-fault or sanitizer hook needing per-block order — that outer
-Python loop is pure overhead.  This module lowers the *block loop itself* into an
-ndarray axis: all blocks' lanes stack into ``(blocks, WARP_SIZE)`` arrays
-(one "mega-warp" per warp slot) and each statement closure runs exactly once
-for the entire batch.
+The tree-walking interpreter in :mod:`repro.gpusim.interp` re-dispatches on
+AST node types for every statement, every warp, every loop iteration, and
+runs blocks one at a time.  This module lowers a kernel AST *once* into a
+tree of specialized Python closures — operator dispatch, index-chain
+resolution, dtype coercion and stat weights are resolved at lowering time —
+and lowers the *block loop itself* into an ndarray axis: all blocks' lanes
+stack into ``(blocks, WARP_SIZE)`` arrays (one "mega-warp" per warp slot)
+and each statement closure runs exactly once for the entire batch.
 
-The lowering here is a statement-for-statement mirror of ``compile.py`` with
-a leading block axis:
+The lowering is a statement-for-statement mirror of the interpreter with a
+leading block axis:
 
 * **Masks** are ``(blocks, lanes)``; a block whose row goes empty simply
   stops contributing — loops keep running until *no* block has active lanes,
   and every cost hook scales by the number of non-empty rows so counters
-  stay bit-identical to the per-block engines.
-* **Stats** that the per-block engine bumps by a constant per execution
+  stay bit-identical to the interpreter.
+* **Stats** that the interpreter bumps by a constant per execution
   (``alu_insts += w``, ``global_load_insts += 1`` …) become ``+= w * rows``
   where ``rows`` counts blocks with at least one active lane.  Per-block
   execution never runs a statement under an empty mask, so ``rows`` is
@@ -29,13 +29,13 @@ a leading block axis:
 * **Shared/local memory** materializes as one ``(blocks, …)`` slab per
   declaration (:class:`~repro.gpusim.memory.BatchedSharedArray` /
   ``BatchedLocalArray``) with the same per-block byte addressing, so replay
-  and transaction accounting match the per-block engines bit-for-bit.
+  and transaction accounting match the interpreter bit-for-bit.
 * **Barriers** keep the generator yield protocol: one stacked generator per
   mega-warp, round-robined exactly like ``BlockExecutor._run_block``.
 * **Megawarp flattening** (:func:`megablock_flatten`) goes one step
   further for multi-warp blocks: the ``(blocks, warps)`` pair collapses
   into a single row axis of ``blocks * warps`` rows (block-major, matching
-  the sequential engines' issue order), so each statement closure runs once
+  the interpreter's issue order), so each statement closure runs once
   for the *entire grid* instead of once per warp slot.  Barriers become
   trivially satisfied lockstep points over the flattened axis; kernels
   whose barrier placement depends on the per-warp round-robin
@@ -44,7 +44,7 @@ a leading block axis:
   (:func:`_mb_atomic_apply`): active lanes sort stably by address and fold
   in ascending (row, lane) order as a strict sequential left fold, so
   final memory bytes, returned old values, and the
-  ``atomic_serializations`` counter all match the per-warp engines
+  ``atomic_serializations`` counter all match the interpreter
   bit-for-bit.  That replay is only exact when the kernel's atomic traffic
   is order-free (:func:`~repro.gpusim.compile.kernel_atomic_order_free`);
   order-sensitive kernels take the launcher's ``"atomic-order"`` fallback.
@@ -53,19 +53,19 @@ Batching is *speculative*: anything the batched semantics cannot reproduce
 exactly — block-varying shuffle widths, order-sensitive atomics, any
 ``SimError`` raised mid-batch — aborts the whole megablock run, and the
 launcher restores the pre-launch global-memory snapshot and re-runs per
-block with the compiled engine.  A spurious batched fault therefore costs
-only time, never correctness, and real faults surface with their exact
+block on the interpreter.  A spurious batched fault therefore costs only
+time, never correctness, and real faults surface with their exact
 per-block diagnostics.
 
-Compiled megablock artifacts live in the same digest-keyed LRU as the
-per-block artifacts under ``#mb`` / ``#mb#prof`` key suffixes
+Lowered kernels (:class:`MegaKernel`) live in the digest-keyed LRU of
+:mod:`repro.gpusim.compile`, profiled ones under a ``#prof`` key suffix
 (:func:`compile_megablock`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -106,7 +106,7 @@ from .compile import (
     _cache_put,
     _compile_literal,
     _compile_name,
-    _fast_flat_index,
+    _has_flow,
     _mask_any,
     _plain_iterator,
     _raising,
@@ -139,6 +139,9 @@ from .memory import (
     dtype_for,
 )
 
+if TYPE_CHECKING:
+    from ..analysis.resources import ResourceReport
+
 #: ``ExprFn(ctx, mask) -> ndarray | PointerValue | memory object`` where
 #: ``mask`` is ``(blocks, WARP_SIZE)``; values broadcast between
 #: ``(WARP_SIZE,)`` (block-invariant) and ``(blocks, WARP_SIZE)``.
@@ -153,13 +156,13 @@ _I64_MAX = np.iinfo(np.int64).max
 # ---------------------------------------------------------------------------
 # Per-row batched stat reductions
 #
-# Each mirrors one per-block scalar from compile.py's fast path, computed for
+# Each mirrors one per-warp scalar of repro.gpusim.coalescing, computed for
 # every row of the batch at once.  Rows with no active lanes reduce to zero.
 # ---------------------------------------------------------------------------
 
 
 def _batch_txns(byte_addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Distinct 128-byte segments per row (``_fast_txns`` per block)."""
+    """Distinct 128-byte segments per row (``coalescing.transactions_for``)."""
     segs = np.where(mask, byte_addrs // 128, _I64_MAX)  # fresh, writable
     segs.sort(axis=1)
     row_any = segs[:, 0] != _I64_MAX
@@ -173,7 +176,8 @@ def _batch_global_stats(
     elem_bytes: int,
     active_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(transactions, uncoalesced)`` — ``_fast_global_stats``.
+    """Per-row ``(transactions, uncoalesced)`` — ``transactions_for`` and
+    ``not is_fully_coalesced`` of :mod:`~repro.gpusim.coalescing`.
 
     ``active * elem_bytes`` is at most 256, so the integer ceiling equals the
     per-block float ``np.ceil`` exactly.  Empty rows: 0 transactions,
@@ -187,7 +191,7 @@ def _batch_global_stats(
 
 
 def _batch_bank_replays(byte_addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Worst-bank replay count per row (``_fast_bank_replays`` per block):
+    """Worst-bank replay count per row (``coalescing.bank_conflict_replays``):
     distinct 4-byte words per bank, worst bank sets the pass count."""
     words = np.where(mask, byte_addrs // 4, _I64_MAX)
     words.sort(axis=1)
@@ -349,7 +353,7 @@ def _mb_atomic_add(ctx: "MegaContext", root, indices: list, mask: np.ndarray, de
         )
         return _mb_atomic_apply(buf.data, offsets, mask, delta)
     if isinstance(root, BatchedSharedArray):
-        flat = _fast_flat_index(root, indices)
+        flat = _flat_index(root, indices)
         bad = mask & ((flat < 0) | (flat >= root.numel))
         if bad.any():
             raise _mb_bounds_fault(root.name, "shared", flat, mask, root.numel)
@@ -369,6 +373,23 @@ def _mb_atomic_add(ctx: "MegaContext", root, indices: list, mask: np.ndarray, de
 # Bounds faults raise generic MemoryFaults here: any SimError aborts the
 # megablock run and the per-block rerun reproduces the exact located fault.
 # ---------------------------------------------------------------------------
+
+
+def _flat_index(root: BatchedSharedArray, indices: list) -> np.ndarray:
+    # Mirrors SharedArray.flat_index (row-major flattening) without copying
+    # the common 1-D index.
+    dims = root.dims
+    if len(indices) != len(dims):
+        raise MemoryFault(
+            f"shared array {root.name!r} expects {len(dims)} indices, "
+            f"got {len(indices)}"
+        )
+    if len(dims) == 1:
+        return indices[0]
+    flat = indices[0]
+    for dim, idx in zip(dims[1:], indices[1:]):
+        flat = flat * dim + idx
+    return flat
 
 
 def _mb_bounds_fault(name: str, space: str, idx, mask, limit: int) -> MemoryFault:
@@ -420,7 +441,7 @@ def _mb_tex_load(tex, idx, mask) -> np.ndarray:
 # Batched shuffles
 #
 # Shuffle width (and shfl_up/down delta) is a per-warp scalar in the
-# per-block engines (``int(arr[0])``).  When the batched operand varies by
+# interpreter (``int(arr[0])``).  When the batched operand varies by
 # block the batch cannot express it in one gather — abort to the fallback.
 # ---------------------------------------------------------------------------
 
@@ -464,7 +485,7 @@ def _mb_shfl_shift(values, delta: int, lane_size: int, down: bool) -> np.ndarray
 class MegaProfile:
     """Accumulates batched profile counters, then reduces them into a
     :class:`~repro.prof.counters.KernelProfile` identical to what the
-    per-block engines would have produced for the same blocks.
+    interpreter would have produced for the same blocks.
 
     Line counters take the already-reduced row counts directly; the only
     per-block state a profile carries — ``BlockCost.inst_issues`` and
@@ -628,10 +649,17 @@ class MegaContext:
     ):
         self.env = env
         self.init_mask = init_mask
+        #: The entry mask *object* and whether it covers every lane: the
+        #: assignment closures use the identity test ``mask is entry_mask
+        #: and entry_full and not has_inactive`` to skip the per-lane
+        #: ``np.where`` merge when every lane is active.
         self.entry_mask = init_mask
         self.entry_full = bool(init_mask.all())
         self.nblocks = nblocks
         self.inactive = np.zeros(init_mask.shape, dtype=bool)
+        #: True whenever ``inactive`` may have set lanes, letting
+        #: barrier-free straight-line code skip the per-statement
+        #: ``mask & ~inactive`` recomputation the interpreter always pays.
         self.has_inactive = False
         self.returned = np.zeros(init_mask.shape, dtype=bool)
         self.loop_stack: List[_MbLoopFrame] = []
@@ -659,7 +687,7 @@ class MegaContext:
 
     def rows(self, mask: np.ndarray) -> int:
         """How many blocks have at least one active lane — exactly the
-        number of blocks the per-block engine would run this statement for
+        number of blocks the interpreter would run this statement for
         (it never executes a statement under an empty mask)."""
         if mask is not self._rows_key:
             self.rows_any(mask)
@@ -667,8 +695,8 @@ class MegaContext:
 
 
 # ---------------------------------------------------------------------------
-# Batched memory access (mirrors compile._fast_load_object/_fast_store_object
-# minus the injector/trace/sanitizer hooks — those launches are ineligible)
+# Batched memory access (mirrors interp._load_object/_store_object minus the
+# injector/trace/sanitizer hooks — those launches are ineligible)
 # ---------------------------------------------------------------------------
 
 
@@ -695,7 +723,7 @@ def _mb_load_object(ctx: MegaContext, root, indices: list, mask: np.ndarray):
             )
         return _mb_global_load(buf, offsets, mask)
     if isinstance(root, BatchedSharedArray):
-        flat = _fast_flat_index(root, indices)
+        flat = _flat_index(root, indices)
         rows = ctx.rows(mask)
         stats.shared_load_insts += rows
         replays_rows = _batch_bank_replays(
@@ -764,7 +792,7 @@ def _mb_store_object(
         _mb_global_store(buf, offsets, mask, values)
         return
     if isinstance(root, BatchedSharedArray):
-        flat = _fast_flat_index(root, indices)
+        flat = _flat_index(root, indices)
         rows = ctx.rows(mask)
         stats.shared_store_insts += rows
         replays_rows = _batch_bank_replays(
@@ -798,7 +826,7 @@ def _mb_store_object(
 
 
 # ---------------------------------------------------------------------------
-# Expression lowering (mirrors compile.py; stat bumps scale by active rows)
+# Expression lowering (mirrors interp.py; stat bumps scale by active rows)
 # ---------------------------------------------------------------------------
 
 
@@ -1389,12 +1417,6 @@ def _mb_if(stmt: If) -> tuple[StmtFn, bool]:
     return gen_if, True
 
 
-def _mb_has_flow(block: Block) -> bool:
-    from .compile import _has_flow
-
-    return _has_flow(block)
-
-
 def _mb_for(stmt: For) -> tuple[StmtFn, bool]:
     loc = _stmt_loc(stmt)
     init_fn, init_gen = (
@@ -1405,7 +1427,7 @@ def _mb_for(stmt: For) -> tuple[StmtFn, bool]:
         mb_stmt(stmt.update) if stmt.update is not None else (None, False)
     )
     body_fn, body_gen = mb_block(stmt.body)
-    flow = _mb_has_flow(stmt.body)
+    flow = _has_flow(stmt.body)
     is_gen = init_gen or update_gen or body_gen
 
     if not is_gen:
@@ -1516,7 +1538,7 @@ def _mb_while(stmt: While) -> tuple[StmtFn, bool]:
     loc = _stmt_loc(stmt)
     cond_fn = mb_expr(stmt.cond)
     body_fn, body_gen = mb_block(stmt.body)
-    flow = _mb_has_flow(stmt.body)
+    flow = _has_flow(stmt.body)
 
     if not body_gen:
         def plain_while(ctx: MegaContext, mask: np.ndarray):
@@ -1592,15 +1614,24 @@ def _mb_while(stmt: While) -> tuple[StmtFn, bool]:
     return gen_while, True
 
 
-#: Same module-flag scheme as compile._PROFILE_LOWERING (lowering is
-#: synchronous and single-threaded).
+#: True while :func:`compile_megablock` lowers a kernel in profile mode:
+#: every located statement closure is then wrapped with the per-line issue
+#: hook (the batched analogue of the hook at the top of
+#: ``interp.exec_stmt``).  Lowering is synchronous and single-threaded, so
+#: a module flag is safe and avoids threading a parameter through the whole
+#: recursive lowerer.
 _MB_PROFILE_LOWERING = False
 
 
 def _mb_wrap_profiled(fn: StmtFn, is_gen: bool, line: int) -> StmtFn:
-    """Batched twin of compile._wrap_profiled: one hook per statement
-    execution carrying the row count, total active lanes and the per-row
-    activity vector (for BlockCost.inst_issues)."""
+    """Fire the per-line issue hook when the statement executes: one call
+    per execution carrying the row count, total active lanes and the
+    per-row activity vector (for BlockCost.inst_issues).
+
+    Mirrors the interpreter: ``exec_stmt`` is a generator whose hook runs
+    on first advance, and ``yield from`` advances immediately after
+    creation, so a generator wrapper keeps the firing point identical.
+    """
     if is_gen:
 
         def gen_hook(ctx: MegaContext, mask: np.ndarray):
@@ -1770,7 +1801,7 @@ def mb_block(block: Block) -> tuple[StmtFn, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Compiled megablock kernels and the (shared) compile cache
+# Lowered kernels and the compile cache
 # ---------------------------------------------------------------------------
 
 
@@ -1787,10 +1818,23 @@ class MegaKernel:
     flatten_safe: bool
     atomics_exact: bool
     profiled: bool = False
+    _resources: Optional["ResourceReport"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def has_barriers(self) -> bool:
         return self.body_is_gen
+
+    def resources(self) -> "ResourceReport":
+        """The kernel's :class:`~repro.analysis.resources.ResourceReport`,
+        estimated on first use.  It depends only on the source, so every
+        launch that hits this cached artifact shares it."""
+        if self._resources is None:
+            from ..analysis.resources import estimate_resources
+
+            self._resources = estimate_resources(self.kernel)
+        return self._resources
 
     def warp_iterator(self, ctx: MegaContext, mask: np.ndarray) -> Iterator:
         if self.body_is_gen:
@@ -1854,22 +1898,19 @@ def megablock_flatten(
 
 
 def compile_megablock(
-    kernel: Kernel,
-    cache: bool = True,
-    profile: bool = False,
-    digest: Optional[str] = None,
+    kernel: Kernel, cache: bool = True, profile: bool = False
 ) -> MegaKernel:
-    """Lower ``kernel`` to batched closures; artifacts share the per-block
-    LRU under ``#mb`` / ``#mb#prof`` key suffixes.  ``digest`` is the
-    kernel's :func:`~repro.gpusim.compile.kernel_digest` when the caller
-    already holds it, so a launch prints and hashes the kernel once."""
-    if not cache:
-        digest = None
-    elif digest is None:
-        digest = kernel_digest(kernel)
+    """Lower ``kernel`` to batched closures, reusing the digest-keyed LRU.
+
+    Two structurally identical kernels (same pretty-printed source,
+    including ``#define`` constants) share one artifact.  ``profile=True``
+    lowers with the per-line issue hooks; profiled artifacts live under
+    their own ``#prof`` key so they never slow down non-profiled launches.
+    """
+    digest = kernel_digest(kernel) if cache else None
     if digest is None:
         return _mb_lower(kernel, None, profile)
-    key = digest + ("#mb#prof" if profile else "#mb")
+    key = digest + "#prof" if profile else digest
     cached = _cache_get(key)
     if cached is not None:
         return cached

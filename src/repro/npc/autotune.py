@@ -464,7 +464,7 @@ def autotune(
     fault injector silently degrades the search to sequential.
 
     ``backend`` is forwarded to every launch (baseline and variants), so
-    the whole search can run on the closure-compiled or megablock engine;
+    the whole search can run on the megablock or the interp engine;
     repeated searches share the variant compile cache (see
     :func:`repro.npc.pipeline.variant_cache_stats`) and, when the disk tier
     is active, its cross-process ``variant`` namespace.

@@ -11,9 +11,9 @@ Subcommands:
     hotspot report.
 
 ``diff``
-    Profile the same benchmark on *both* execution backends and diff the
-    per-line counters; exits non-zero on any mismatch (the CI profiler
-    smoke job runs this).
+    Profile the same benchmark on the interp reference and on megablock and
+    diff the per-line counters; exits non-zero on any mismatch (the CI
+    profiler smoke job runs this).
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def main(argv: Optional[list] = None) -> int:
         )
         p.add_argument(
             "--backend",
-            default="compiled",
-            choices=("interp", "compiled"),
-            help="execution backend (default: compiled)",
+            default="megablock",
+            choices=("interp", "megablock"),
+            help="execution backend (default: megablock)",
         )
 
     p_trace = sub.add_parser(
@@ -69,7 +69,7 @@ def main(argv: Optional[list] = None) -> int:
 
     p_diff = sub.add_parser(
         "diff",
-        help="profile on both backends and diff the per-line counters",
+        help="profile on interp and megablock and diff the per-line counters",
     )
     add_common(p_diff)
 
@@ -98,7 +98,7 @@ def main(argv: Optional[list] = None) -> int:
 
     # diff: the CI profiler smoke — both backends must agree bit-for-bit.
     _, ref = _profiled_launch(args.benchmark, "interp")
-    _, got = _profiled_launch(args.benchmark, "compiled")
+    _, got = _profiled_launch(args.benchmark, "megablock")
     mismatches = ref.profile.diff_lines(got.profile)
     if mismatches:
         print(

@@ -1,14 +1,14 @@
 """Per-source-line hotspot counters and per-block cost records.
 
 This module is deliberately free of ``repro.gpusim`` imports: the
-launcher, interpreter and both lowering engines import it, so it must
+launcher, the interpreter and the megablock engine import it, so it must
 sit below them in the dependency graph.  The hook methods on
-:class:`KernelProfile` are called from the warp-execution hot paths of
-*both* backends at mirrored sites (statement entry, memory accesses,
-intrinsic calls, barriers), which is what makes profiles bit-identical
-between ``interp`` and ``compiled`` by construction: both backends key
-attribution off the same ``ctx.current_loc`` bookkeeping that the fault
-diagnostics already maintain.
+:class:`KernelProfile` are called from the interpreter's warp-execution
+hot path at its hook sites (statement entry, memory accesses, intrinsic
+calls, barriers); the megablock engine feeds batched twins of them at
+mirrored sites.  Both key attribution off the same ``ctx.current_loc``
+bookkeeping that the fault diagnostics already maintain, which is what
+makes profiles bit-identical between ``interp`` and ``megablock``.
 
 Everything here is a plain dataclass over ints, so profiles pickle
 cleanly back from worker-pool tasks and merge exactly (integer sums are

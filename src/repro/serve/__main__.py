@@ -4,7 +4,10 @@ Environment knobs (flags override):
 
 - ``GPUSIM_SERVE_PORT`` — listen port (default 8642);
 - ``GPUSIM_SERVE_MAX_INFLIGHT`` — admission cap on concurrently executing
-  requests (default 32; excess requests are shed with 503 + Retry-After).
+  requests (default 32; excess requests are shed with 503 + Retry-After);
+- ``GPUSIM_BACKEND`` — the engine of requests that name none: megablock
+  (default) or interp.  Any other value stops the server with a non-zero
+  exit before it binds its port.
 
 SIGTERM and SIGINT both trigger a graceful drain: stop accepting, finish
 in-flight launches, close every tenant stream, retire every pool worker.
@@ -21,6 +24,7 @@ import signal
 import sys
 import threading
 
+from ..gpusim.launch import default_backend
 from .app import KernelServer
 
 DEFAULT_PORT = 8642
@@ -55,6 +59,12 @@ def main(argv=None) -> int:
         help="enable POST /debug/breaker (force-open/reset the breaker)",
     )
     args = parser.parse_args(argv)
+
+    try:
+        default_backend()
+    except ValueError as exc:
+        print(f"repro.serve: {exc}", file=sys.stderr, flush=True)
+        return 2
 
     if args.cache_dir:
         from ..gpusim import diskcache

@@ -8,9 +8,9 @@ ASTs.  When the persistent cache tier is active
 the ``"kernel"`` namespace — a pickled AST keyed by the same digest — so
 a restarted server skips re-parsing sources its predecessor served.
 
-Lowering (closure compilation) is deduplicated one layer down by
-:func:`repro.gpusim.compile.compile_kernel`'s own digest-keyed cache, so
-this module only has to make parsing once-per-source.
+Lowering is deduplicated one layer down by
+:func:`repro.gpusim.megablock.compile_megablock`'s own digest-keyed cache,
+so this module only has to make parsing once-per-source.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ A launch request is one JSON object::
       },
       "const_arrays": { ... same encoding ... },   # optional
       "options": {                                  # all optional
-        "backend": "interp",              # megablock (default) | compiled | interp
+        "backend": "interp",              # megablock (default) | interp
         "profile": true,                  # per-line counters in response
         "deadline_ms": 2000               # per-request completion deadline
       }
@@ -48,7 +48,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..gpusim.launch import LaunchResult, _as_dim3
+from ..gpusim.launch import BACKENDS, LaunchResult, _as_dim3
 from ..gpusim.errors import LaunchError
 
 #: Wire-format version, echoed in every response.
@@ -167,7 +167,7 @@ def parse_request(body: bytes) -> LaunchRequest:
     if not isinstance(options, dict):
         raise ProtocolError('"options" must be an object')
     backend = options.get("backend")
-    if backend is not None and backend not in ("interp", "compiled", "megablock"):
+    if backend is not None and backend not in BACKENDS:
         raise ProtocolError(f"unknown backend {backend!r}")
     deadline_ms = options.get("deadline_ms")
     if deadline_ms is not None:

@@ -11,8 +11,8 @@ writes only its own output slots (or goes through ``atomicAdd``), shared
 arrays follow the write → barrier → read discipline, and barriers only
 appear at top level where the whole block reaches them.
 
-:func:`check` runs one kernel through the interpreter reference and each
-fast engine on identical inputs and demands *bit-identical* buffer bytes
+:func:`check` runs one kernel through the interpreter reference and the
+megablock engine on identical inputs and demands *bit-identical* buffer bytes
 plus exactly equal :class:`~repro.gpusim.stats.KernelStats`.  When a kernel
 fails, :func:`minimize` greedily deletes body chunks while the failure
 reproduces, returning a reduced kernel whose source is small enough to read
@@ -37,7 +37,7 @@ from ..gpusim.launch import run_kernel
 __all__ = ["FuzzKernel", "generate", "check", "minimize", "BACKENDS"]
 
 #: Engines compared against the ``interp`` reference.
-BACKENDS = ("compiled", "megablock")
+BACKENDS = ("megablock",)
 
 #: Sizes of the two small buffers shared by atomic chunks.
 _FACC = 8

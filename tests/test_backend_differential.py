@@ -1,18 +1,18 @@
-"""Differential check of the three execution backends.
+"""Differential check of the two execution backends.
 
-The tree-walking interpreter is the reference semantics; the closure-compiled
-engine (:mod:`repro.gpusim.compile`) and the batch-vectorized megablock
-engine (:mod:`repro.gpusim.megablock`) must be **bit-identical** — not merely
-allclose — on every paper benchmark, for the baseline kernel and for at least
-one CUDA-NP variant each.  Outputs are compared via raw buffer bytes and the
+The tree-walking interpreter is the reference semantics; the batch-vectorized
+megablock engine (:mod:`repro.gpusim.megablock`) must be **bit-identical** —
+not merely allclose — on every paper benchmark, for the baseline kernel and
+for at least one CUDA-NP variant each.  Outputs are compared via raw buffer bytes and the
 full :class:`~repro.gpusim.stats.KernelStats` record, so a fast-path that
 drifted by a ULP or double-counted a transaction fails loudly.
 
 The megablock engine additionally promises an *observable* fallback: every
 launch configuration it cannot batch exactly (traces, sim-faults,
-sanitizers, order-sensitive atomics, single-block grids) must run per block
+sanitizers, order-sensitive atomics) must run per block on the interpreter
 with the reason on :attr:`LaunchResult.megablock_fallback` — and still be
-bit-identical.  Order-free atomics (single site outside loops, or integer
+bit-identical.  A launch of one block (a one-block grid or
+``sample_blocks=1``) is no such configuration: it batches like any other.  Order-free atomics (single site outside loops, or integer
 adds whose old value is discarded) batch on the fast path instead, through
 the deterministic segmented reduce, and BK — the one paper benchmark built
 on ``atomicAdd`` — now rides it with ``megablock_megawarp`` set.
@@ -22,16 +22,16 @@ import numpy as np
 import pytest
 
 from repro.gpusim.faults import FaultInjector, FaultSpec
-from repro.gpusim.launch import run_kernel
+from repro.gpusim.launch import launch, run_kernel
 from repro.kernels import BENCHMARKS
 
 ALL_NAMES = list(BENCHMARKS)
 
-#: Every engine pairing checked against the interpreter reference.
-FAST_BACKENDS = ("compiled", "megablock")
+#: Every engine checked against the interpreter reference.
+FAST_BACKENDS = ("megablock",)
 
 #: Scaled-down inputs so the interp-side runs stay cheap; the kernels (and
-#: therefore the compiled closures exercised) are the full paper suite.
+#: therefore the lowered closures exercised) are the full paper suite.
 SMALL = {
     "MC": dict(nvox=64),
     "LU": dict(matrix_dim=32),
@@ -105,7 +105,7 @@ def test_np_variant_bit_identical(benches, name, backend):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_profile_bit_identical_across_backends(benches, name, backend):
     """Per-line profiles must match exactly: the counters are attributed at
-    mirrored hook points in all engines, so any drift means a hook moved."""
+    mirrored hook points in both engines, so any drift means a hook moved."""
     bench = benches[name]
     ref = bench.run_baseline(backend="interp", profile=True)
     got = bench.run_baseline(backend=backend, profile=True)
@@ -117,7 +117,8 @@ def test_profile_bit_identical_across_backends(benches, name, backend):
 
 
 def test_trace_records_identical():
-    """The access trace (per-instruction coalescing log) matches too."""
+    """The access trace (per-instruction coalescing log) of a megablock
+    launch, which falls back to interp for it, matches too."""
     src = """
     __global__ void k(float* out, const float* a, int n) {
         int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -128,7 +129,8 @@ def test_trace_records_identical():
     a = rng.standard_normal(128, dtype=np.float32)
     args = lambda: {"out": np.zeros(128, dtype=np.float32), "a": a.copy(), "n": 128}
     ref = run_kernel(src, 4, 32, args(), trace=True, backend="interp")
-    got = run_kernel(src, 4, 32, args(), trace=True, backend="compiled")
+    got = run_kernel(src, 4, 32, args(), trace=True, backend="megablock")
+    assert got.megablock_fallback == "trace"
     assert ref.trace.global_accesses == got.trace.global_accesses
     assert ref.trace.shared_accesses == got.trace.shared_accesses
 
@@ -211,13 +213,34 @@ class TestMegablockFallbacks:
         assert result.backend == "megablock"
         assert result.megablock_fallback is None
 
-    def test_single_block(self):
-        result = run_kernel(
-            _SIMPLE, 1, 32, _simple_args(32), backend="megablock"
-        )
-        assert result.megablock_fallback == "single-block"
-        ref = run_kernel(_SIMPLE, 1, 32, _simple_args(32), backend="interp")
-        assert_identical(ref, result, "single-block fallback")
+    @pytest.mark.parametrize("how", ["grid1", "sample1"])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_one_block_launch_batches(self, benches, name, how):
+        """A launch that runs a single block — a one-block grid, or
+        ``sample_blocks=1`` — batches like any other: no fallback, and its
+        bytes, stats, per-line profile and modeled time equal interp's."""
+        bench = benches[name]
+
+        def run(backend):
+            if how == "sample1":
+                return bench.run_baseline(
+                    backend=backend, sample_blocks=1, profile=True
+                )
+            return launch(
+                bench.kernel, 1, bench.block_size, bench.make_args(),
+                device=bench.device, const_arrays=bench.const_arrays(),
+                backend=backend, profile=True,
+            )
+
+        ref = run("interp")
+        got = run("megablock")
+        assert got.backend == "megablock"
+        assert got.megablock_fallback is None
+        assert got.stats.blocks_executed == 1
+        assert_identical(ref, got, f"{name} one block [{how}]")
+        assert not ref.profile.diff_lines(got.profile), name
+        assert ref.profile.blocks == got.profile.blocks, name
+        assert got.milliseconds == ref.milliseconds
 
     def test_trace(self):
         result = self._run(trace=True)
@@ -341,8 +364,8 @@ class TestMegablockFallbacks:
 class TestBKFastPath:
     @pytest.fixture(scope="class")
     def bk(self):
-        # 2048 elements -> a 2-block grid, so the launch clears the
-        # single-block rung and actually exercises batching + flattening.
+        # 2048 elements -> a 2-block grid, so the batch folds atomics
+        # across blocks and actually exercises flattening.
         return BENCHMARKS["BK"](elements=2048, block=32)
 
     def test_baseline_no_fallback(self, bk):
@@ -362,10 +385,9 @@ class TestBKFastPath:
         assert_identical(ref, got, f"BK {config.describe()} fast path")
 
     def test_atomic_serializations_counted(self, bk):
-        """The new collision counter agrees across all three engines."""
+        """The collision counter agrees across both engines."""
         results = {
-            be: bk.run_baseline(backend=be)
-            for be in ("interp", "compiled", "megablock")
+            be: bk.run_baseline(backend=be) for be in ("interp", "megablock")
         }
         serial = {be: r.stats.atomic_serializations for be, r in results.items()}
         assert serial["interp"] > 0

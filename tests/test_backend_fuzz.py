@@ -1,8 +1,8 @@
 """Randomized cross-backend differential fuzzing.
 
 Every seeded kernel from :mod:`repro.testing.fuzzgen` must produce
-bit-identical buffer bytes and exactly equal statistics on the compiled and
-megablock engines as on the interpreter reference.  A failing seed is
+bit-identical buffer bytes and exactly equal statistics on the megablock
+engine as on the interpreter reference.  A failing seed is
 automatically minimized so the report carries a small reproducing kernel.
 
 The corpus size is an environment knob so CI can sweep a wider fixed-seed
@@ -88,6 +88,10 @@ def test_minimizer_rejects_passing_kernel():
 
 
 def test_backends_constant_matches_launch_ladder():
-    """The fuzzer compares exactly the two fast engines the launch path
-    exposes; if a new backend is added this reminds us to fuzz it."""
-    assert BACKENDS == ("compiled", "megablock")
+    """The fuzzer compares every engine the launch path exposes besides
+    the interp reference; if a new backend is added this reminds us to
+    fuzz it."""
+    from repro.gpusim.launch import BACKENDS as LAUNCH_BACKENDS
+
+    assert BACKENDS == ("megablock",)
+    assert set(BACKENDS) | {"interp"} == set(LAUNCH_BACKENDS)

@@ -27,9 +27,9 @@ def _isolate_serve_events():
 
 def test_bench_kernel_record():
     rec = bench_kernel("CFD", repeats=1)
-    assert rec["interp_ms"] > 0 and rec["compiled_ms"] > 0
-    assert rec["speedup_compiled"] > 0
-    assert rec["best_ms"] <= rec["compiled_ms"]
+    assert rec["interp_ms"] > 0 and rec["megablock_ms"] > 0
+    assert rec["speedup_megablock"] > 0
+    assert set(rec["compile_ms"]) == {"megablock", "np_transform"}
     # The megawarp flag is always present, so it round-trips through
     # BENCH_gpusim.json.
     assert rec["megablock_megawarp"] in (True, False, None)
@@ -63,7 +63,7 @@ def _fake_report(ratio, fallback=None, megawarp=True):
     return {
         "kernels": {
             "MC": {
-                "megablock_over_compiled": ratio,
+                "speedup_megablock": ratio,
                 "megablock_fallback": fallback,
                 "megablock_megawarp": megawarp,
             }
@@ -173,7 +173,7 @@ def test_compare_cli_exit_codes(tmp_path):
     base_report = {
         "kernels": {
             "CFD": {
-                "megablock_over_compiled": 0.001,
+                "speedup_megablock": 0.001,
                 "megablock_fallback": None,
                 "megablock_megawarp": True,
             }
@@ -186,7 +186,7 @@ def test_compare_cli_exit_codes(tmp_path):
         "--compare", "--baseline", str(baseline),
     ]) == 0
     # ...and an impossible baseline must fail with exit code 1.
-    base_report["kernels"]["CFD"]["megablock_over_compiled"] = 1e9
+    base_report["kernels"]["CFD"]["speedup_megablock"] = 1e9
     baseline.write_text(json.dumps(base_report))
     assert main([
         "--kernels", "CFD", "--repeats", "1", "--out", str(out),

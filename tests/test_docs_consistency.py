@@ -157,7 +157,10 @@ class TestReadme:
         assert default_backend() == "megablock"
         launch_doc = " ".join(launch.__doc__.split())
         assert 'else ``"megablock"``' in launch_doc
-        assert "megablock (default) | compiled | interp" in protocol.__doc__
+        assert "megablock (default) | interp" in protocol.__doc__
+        assert "runs one block at a time on the interp reference" in " ".join(
+            readme.split()
+        )
         fields = {f.name for f in LaunchResult.__dataclass_fields__.values()}
         assert "megablock_fallback" in fields
         assert "megablock_megawarp" in fields
@@ -166,10 +169,13 @@ class TestReadme:
         )
         # "atomic-order" is the megablock ladder's atomics reason (order-free
         # atomics batch).
-        for reason in ("single-block", "trace", "faults", "sanitizer",
-                       "atomic-order", "sim-fault"):
+        for reason in ("trace", "faults", "sanitizer", "atomic-order",
+                       "sim-fault"):
             assert f'"{reason}"' in readme, reason
             assert f'"{reason}"' in launch_src, reason
+        # One-block launches batch; the removed reason stays removed.
+        assert '"single-block"' not in readme
+        assert '"single-block"' not in launch_src
         # The bench columns the README describes are the ones bench emits.
         import inspect as _inspect
 
@@ -298,8 +304,8 @@ class TestDesign:
         """DESIGN.md must explain the batch axis and name real anchors."""
         design = (ROOT / "DESIGN.md").read_text()
         assert "## Batch axis & divergence masks" in design
-        for anchor in ("#mb", "megablock_fallback", "BatchedSharedArray",
-                       "(blocks, lanes)"):
+        for anchor in ("#prof", "MegaKernel", "megablock_fallback",
+                       "BatchedSharedArray", "(blocks, lanes)"):
             assert anchor in design, anchor
 
     def test_megawarp_and_batched_atomics_documented(self):

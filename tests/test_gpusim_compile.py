@@ -1,4 +1,4 @@
-"""Closure-compiled backend: feature parity, cache behaviour, env toggle.
+"""Megablock engine: feature parity, cache behaviour, env toggle.
 
 Complements ``test_backend_differential.py`` (which sweeps the paper suite):
 here each simulator feature gets a focused kernel run under both backends and
@@ -15,7 +15,6 @@ import pytest
 from repro.analysis.resources import estimate_resources
 from repro.gpusim import pool as gpupool
 from repro.gpusim.compile import (
-    CompiledKernel,
     clear_compile_cache,
     compile_cache_stats,
     compile_kernel,
@@ -23,6 +22,7 @@ from repro.gpusim.compile import (
 )
 from repro.gpusim.errors import SimError
 from repro.gpusim.launch import default_backend, run_kernel
+from repro.gpusim.megablock import MegaKernel, compile_megablock
 from repro.minicuda.parser import parse_kernel
 from repro.npc.config import NpConfig
 from repro.npc.pipeline import (
@@ -43,7 +43,8 @@ def both(src, grid=1, block=32, **kwargs):
         }
 
     ref = run_kernel(src, grid, block, fresh(), backend="interp")
-    got = run_kernel(src, grid, block, fresh(), backend="compiled")
+    got = run_kernel(src, grid, block, fresh(), backend="megablock")
+    assert got.megablock_fallback is None
     for name, buf in ref.gmem.buffers().items():
         other = got.gmem.buffers()[name]
         assert buf.data.dtype == other.data.dtype
@@ -194,7 +195,7 @@ class TestErrorParity:
         )
         got = run_kernel(
             src, 1, 32, {"o": np.zeros(32, np.float32)},
-            backend="compiled", on_error="status",
+            backend="megablock", on_error="status",
         )
         assert ref.error is not None and got.error is not None
         assert ref.error.summary() == got.error.summary()
@@ -211,15 +212,16 @@ class TestErrorParity:
                        backend="interp")
         with pytest.raises(SimError) as got_exc:
             run_kernel(src, 1, 32, {"o": np.zeros(32, np.float32)},
-                       backend="compiled")
+                       backend="megablock")
         assert str(ref_exc.value) == str(got_exc.value)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            run_kernel(
-                "__global__ void t(int *o) { o[0] = 1; }",
-                1, 1, {"o": np.zeros(1, np.int32)}, backend="jit",
-            )
+        for name in ("jit", "compiled"):
+            with pytest.raises(ValueError, match="'megablock' or 'interp'"):
+                run_kernel(
+                    "__global__ void t(int *o) { o[0] = 1; }",
+                    1, 1, {"o": np.zeros(1, np.int32)}, backend=name,
+                )
 
 
 class TestEnvToggle:
@@ -238,12 +240,23 @@ class TestEnvToggle:
         assert default_backend() == "interp"
         assert self.run().backend == "interp"
 
-    def test_env_selects_compiled(self, monkeypatch):
-        monkeypatch.setenv("GPUSIM_BACKEND", "compiled")
-        assert self.run().backend == "compiled"
+    @pytest.mark.parametrize("value", ["compiled", "compiledd"])
+    def test_env_rejects_other_values(self, monkeypatch, value):
+        """Any other value names the variable and both allowed engines —
+        from default_backend() and from a launch that names no engine."""
+        monkeypatch.setenv("GPUSIM_BACKEND", value)
+        message = (
+            f"GPUSIM_BACKEND must be 'megablock' or 'interp', got {value!r}"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            default_backend()
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            self.run()
+        assert str(excinfo.value) == message
 
     def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("GPUSIM_BACKEND", "compiled")
+        monkeypatch.setenv("GPUSIM_BACKEND", "megablock")
         res = run_kernel(self.SRC, 1, 32, {"o": np.zeros(32, np.int32)},
                          backend="interp")
         assert res.backend == "interp"
@@ -259,25 +272,25 @@ class TestKernelCompileCache:
 
     def test_hit_and_miss_counters(self):
         k = parse_kernel(SRC_A)
-        c1 = compile_kernel(k)
-        assert isinstance(c1, CompiledKernel)
+        c1 = compile_megablock(k)
+        assert isinstance(c1, MegaKernel)
         stats = compile_cache_stats()
         assert (stats.hits, stats.misses, stats.size) == (0, 1, 1)
-        c2 = compile_kernel(k)
+        c2 = compile_megablock(k)
         assert c2 is c1
         stats = compile_cache_stats()
         assert (stats.hits, stats.misses) == (1, 1)
 
     def test_structurally_equal_kernels_share(self):
         """Two separately parsed but identical sources share one artifact."""
-        c1 = compile_kernel(parse_kernel(SRC_A))
-        c2 = compile_kernel(parse_kernel(SRC_A))
+        c1 = compile_megablock(parse_kernel(SRC_A))
+        c2 = compile_megablock(parse_kernel(SRC_A))
         assert c1 is c2
         assert compile_cache_stats().size == 1
 
     def test_source_change_invalidates(self):
-        compile_kernel(parse_kernel(SRC_A))
-        compile_kernel(parse_kernel(SRC_B))
+        compile_megablock(parse_kernel(SRC_A))
+        compile_megablock(parse_kernel(SRC_B))
         stats = compile_cache_stats()
         assert stats.misses == 2 and stats.size == 2
         assert kernel_digest(parse_kernel(SRC_A)) != kernel_digest(
@@ -286,14 +299,14 @@ class TestKernelCompileCache:
 
     def test_launches_share_cache(self):
         run_kernel(SRC_A, 1, 32, {"o": np.zeros(32, np.int32)},
-                   backend="compiled")
+                   backend="megablock")
         run_kernel(SRC_A, 1, 32, {"o": np.zeros(32, np.int32)},
-                   backend="compiled")
+                   backend="megablock")
         stats = compile_cache_stats()
         assert stats.misses == 1 and stats.hits >= 1
 
     def test_uncached_compile(self):
-        c = compile_kernel(parse_kernel(SRC_A), cache=False)
+        c = compile_megablock(parse_kernel(SRC_A), cache=False)
         assert c.digest is None
         assert compile_cache_stats().size == 0
 
@@ -301,36 +314,34 @@ class TestKernelCompileCache:
         """Profile-mode lowering wraps statement closures; the profiled
         artifact must not replace (or be served as) the plain one."""
         k = parse_kernel(SRC_A)
-        plain = compile_kernel(k)
-        prof = compile_kernel(k, profile=True)
+        plain = compile_megablock(k)
+        prof = compile_megablock(k, profile=True)
         assert prof is not plain
         assert prof.profiled and not plain.profiled
         assert compile_cache_stats().size == 2
         # Both keys now hit.
-        assert compile_kernel(k) is plain
-        assert compile_kernel(k, profile=True) is prof
+        assert compile_megablock(k) is plain
+        assert compile_megablock(k, profile=True) is prof
 
     def test_variant_breakdown(self):
-        """Cache growth from the megablock backend is observable: entries
-        are reported per variant suffix (base / #prof / megablock)."""
-        from repro.gpusim.megablock import compile_megablock
-
+        """Cache growth is observable per variant suffix (base / #prof)."""
         k = parse_kernel(SRC_A)
-        assert compile_cache_stats().variants == {
-            "base": 0, "prof": 0, "megablock": 0,
-        }
-        compile_kernel(k)
-        compile_kernel(k, profile=True)
-        mb = compile_megablock(k)
-        mb_prof = compile_megablock(k, profile=True)
+        assert compile_cache_stats().variants == {"base": 0, "prof": 0}
+        compile_megablock(k)
+        compile_megablock(k, profile=True)
         stats = compile_cache_stats()
-        # #mb and #mb#prof both count as megablock entries.
-        assert stats.variants == {"base": 1, "prof": 1, "megablock": 2}
-        assert stats.size == 4
-        # Megablock keys hit like any other entry.
-        assert compile_megablock(k) is mb
-        assert compile_megablock(k, profile=True) is mb_prof
-        assert mb_prof.profiled and not mb.profiled
+        assert stats.variants == {"base": 1, "prof": 1}
+        assert stats.size == 2
+
+    def test_compile_kernel_is_megablock_alias(self):
+        """``compile_kernel`` survives only as an alias for older callers:
+        it hands out the same cached artifact as ``compile_megablock``."""
+        k = parse_kernel(SRC_A)
+        assert compile_kernel(k) is compile_megablock(k)
+        assert compile_kernel(k, profile=True) is compile_megablock(
+            k, profile=True
+        )
+        assert compile_cache_stats().size == 2
 
 
 SHARED_SRC = """
@@ -365,16 +376,23 @@ class TestResourceReportCache:
         return calls
 
     @staticmethod
-    def launch(src, backend="megablock"):
+    def launch(src, backend="megablock", **kwargs):
         return run_kernel(src, 4, 32, {"o": np.zeros(128, np.float32)},
-                          backend=backend)
+                          backend=backend, **kwargs)
 
-    @pytest.mark.parametrize("backend", ["compiled", "megablock"])
-    def test_second_launch_reuses_report(self, estimates, backend):
+    @pytest.mark.parametrize(
+        "kwargs, fallback",
+        [({}, None), ({"trace": True}, "trace")],
+        ids=["megablock", "fallback"],
+    )
+    def test_second_launch_reuses_report(self, estimates, kwargs, fallback):
+        """Batched or fallen back to interp, a megablock launch reads the
+        report off the cached lowering."""
         src = SHARED_SRC % 32
-        first = self.launch(src, backend)
+        first = self.launch(src, **kwargs)
+        assert first.megablock_fallback == fallback
         assert len(estimates) == 1
-        second = self.launch(src, backend)
+        second = self.launch(src, **kwargs)
         assert len(estimates) == 1
         assert second.usage == first.usage
 
@@ -384,7 +402,10 @@ class TestResourceReportCache:
         src = SHARED_SRC % 32
         k1, k2 = parse_kernel(src), parse_kernel(src)
         assert k1 is not k2
-        assert compile_kernel(k1).resources() is compile_kernel(k2).resources()
+        assert (
+            compile_megablock(k1).resources()
+            is compile_megablock(k2).resources()
+        )
         assert len(estimates) == 1
 
     def test_other_digest_gets_own_report(self, estimates):
@@ -395,7 +416,7 @@ class TestResourceReportCache:
         assert big.usage.shared_bytes_per_block == 64 * 4
         for n in (32, 64):
             k = parse_kernel(SHARED_SRC % n)
-            assert compile_kernel(k).resources() == estimate_resources(k)
+            assert compile_megablock(k).resources() == estimate_resources(k)
 
     def test_interp_estimates_every_launch(self, estimates):
         src = SHARED_SRC % 32
@@ -404,7 +425,7 @@ class TestResourceReportCache:
         assert len(estimates) == 2
 
     def test_megablock_launch_digests_once(self, monkeypatch):
-        """The per-block and batched lowerings share one digest per launch."""
+        """A launch prints and hashes its kernel once."""
         from repro.gpusim import compile as gpu_compile
         from repro.gpusim import megablock
 
@@ -425,7 +446,7 @@ class TestResourceReportCache:
 def _cache_probe_in_child(src):
     """Runs inside a forked worker: compile an already-cached kernel and
     report what the per-process counters claim."""
-    compile_kernel(parse_kernel(src))
+    compile_megablock(parse_kernel(src))
     stats = compile_cache_stats()
     return stats.hits, stats.misses, stats.pid, os.getpid()
 
@@ -435,7 +456,7 @@ class TestCacheForkAccounting:
         clear_compile_cache()
 
     def test_parent_stats_carry_pid(self):
-        compile_kernel(parse_kernel(SRC_A))
+        compile_megablock(parse_kernel(SRC_A))
         assert compile_cache_stats().pid == os.getpid()
 
     @pytest.mark.skipif(not gpupool.available(), reason="needs POSIX fork")
@@ -443,8 +464,8 @@ class TestCacheForkAccounting:
         """A forked worker inherits the cache *contents* (its lookups really
         hit) but must not inherit the parent's hit/miss history as its own."""
         k = parse_kernel(SRC_A)
-        compile_kernel(k)
-        compile_kernel(k)
+        compile_megablock(k)
+        compile_megablock(k)
         parent = compile_cache_stats()
         assert (parent.hits, parent.misses) == (1, 1)
 

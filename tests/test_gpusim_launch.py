@@ -193,7 +193,7 @@ class TestBlockSampling:
         # 8 blocks sampled 5 ways: int(i * 8/5) = 0,1,3,4,6 — no duplicates
         # survive even when truncation collides.
         res = run_kernel(
-            SCALE, 8, 32, scale_args(), backend="compiled", sample_blocks=5
+            SCALE, 8, 32, scale_args(), backend="megablock", sample_blocks=5
         )
         ids = res.sampled_block_ids
         assert ids is not None
@@ -205,14 +205,14 @@ class TestBlockSampling:
         # 3 samples of 2 blocks: int(0*2/3)=0, int(1*2/3)=0, int(2*2/3)=1
         # — naive generation repeats block 0.
         res = run_kernel(
-            SCALE, 2, 32, scale_args(), sample_blocks=3, backend="compiled"
+            SCALE, 2, 32, scale_args(), sample_blocks=3, backend="megablock"
         )
         assert res.sampled_block_ids is None or len(
             res.sampled_block_ids
         ) == len(set(res.sampled_block_ids))
 
     def test_full_grid_has_no_sampled_ids(self):
-        res = run_kernel(SCALE, 8, 32, scale_args(), backend="compiled")
+        res = run_kernel(SCALE, 8, 32, scale_args(), backend="megablock")
         assert res.sampled_block_ids is None
 
 

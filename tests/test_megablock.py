@@ -25,7 +25,7 @@ from repro.minicuda.parser import parse_kernel
 
 
 # ---------------------------------------------------------------------------
-# Per-row reductions vs the per-block scalar implementations
+# Per-row reductions vs the interpreter's per-warp coalescing helpers
 # ---------------------------------------------------------------------------
 
 
@@ -37,36 +37,36 @@ def _rand_case(rng, nblocks=5):
 
 
 def test_batch_txns_matches_per_block():
-    from repro.gpusim.compile import _fast_txns
+    from repro.gpusim.coalescing import transactions_for
 
     rng = np.random.default_rng(5)
     addrs, mask = _rand_case(rng)
     got = _batch_txns(addrs, mask)
     for row in range(addrs.shape[0]):
-        assert got[row] == _fast_txns(addrs[row], mask[row])
+        assert got[row] == transactions_for(addrs[row], mask[row])
 
 
 def test_batch_global_stats_matches_per_block():
-    from repro.gpusim.compile import _fast_global_stats
+    from repro.gpusim.coalescing import is_fully_coalesced, transactions_for
 
     rng = np.random.default_rng(6)
     addrs, mask = _rand_case(rng)
     active_rows = mask.sum(axis=1)
     txns, unco = _batch_global_stats(addrs, mask, 4, active_rows)
     for row in range(addrs.shape[0]):
-        ref_txns, ref_coalesced = _fast_global_stats(addrs[row], mask[row], 4)
-        assert txns[row] == ref_txns
-        assert bool(unco[row]) == (not ref_coalesced)
+        assert txns[row] == transactions_for(addrs[row], mask[row])
+        coalesced = is_fully_coalesced(addrs[row], mask[row], 4)
+        assert bool(unco[row]) == (not coalesced)
 
 
 def test_batch_bank_replays_matches_per_block():
-    from repro.gpusim.compile import _fast_bank_replays
+    from repro.gpusim.coalescing import bank_conflict_replays
 
     rng = np.random.default_rng(7)
     addrs, mask = _rand_case(rng)
     got = _batch_bank_replays(addrs, mask)
     for row in range(addrs.shape[0]):
-        assert got[row] == _fast_bank_replays(addrs[row], mask[row])
+        assert got[row] == bank_conflict_replays(addrs[row], mask[row])
 
 
 def test_batch_const_serialized_matches_per_block():

@@ -5,7 +5,7 @@ reduce (:func:`~repro.gpusim.megablock._mb_atomic_apply`).  Its contract is
 *bit-exactness* against the sequential per-warp semantics: deltas fold into
 each address in ascending (row, lane) order as a strict left fold — no
 pairwise tree — and every lane's returned "old" value is the memory value
-at the start of its own row's issue, exactly like the per-warp engines'
+at the start of its own row's issue, exactly like the interpreter's
 ``data[offsets].copy()`` before ``np.add.at``.
 
 The oracle below *is* that per-warp loop.  The properties drive the batch
@@ -14,7 +14,7 @@ distinct, power-law (histogram-shaped) collisions, float32 magnitude
 spreads where accumulation order changes the rounding, and integer
 wrap-around.  The collision counter (``KernelStats.atomic_serializations``)
 must agree between the batched ``_batch_distinct`` and the per-warp
-``np.unique`` accounting, and end-to-end across all three engines.
+``np.unique`` accounting, and end-to-end across both engines.
 """
 
 import numpy as np
@@ -172,7 +172,7 @@ def test_serialization_counter_matches_unique_accounting(seed, hot):
 
 
 # ---------------------------------------------------------------------------
-# End to end: the counter and the bytes agree across all three engines.
+# End to end: the counter and the bytes agree across both engines.
 # ---------------------------------------------------------------------------
 
 _SCATTER = """
@@ -203,18 +203,17 @@ def test_scatter_kernel_exact_across_engines(hot):
 
     results = {
         be: run_kernel(_SCATTER, 8, 32, args(), backend=be)
-        for be in ("interp", "compiled", "megablock")
+        for be in ("interp", "megablock")
     }
     ref = results["interp"]
-    assert results["megablock"].megablock_fallback is None
-    assert results["megablock"].megablock_megawarp is True
-    for be in ("compiled", "megablock"):
-        got = results[be]
-        assert (
-            ref.gmem.buffers()["acc"].data.tobytes()
-            == got.gmem.buffers()["acc"].data.tobytes()
-        ), f"{be}: accumulator bytes diverged (hot={hot})"
-        assert ref.stats == got.stats, f"{be}: stats diverged (hot={hot})"
+    got = results["megablock"]
+    assert got.megablock_fallback is None
+    assert got.megablock_megawarp is True
+    assert (
+        ref.gmem.buffers()["acc"].data.tobytes()
+        == got.gmem.buffers()["acc"].data.tobytes()
+    ), f"accumulator bytes diverged (hot={hot})"
+    assert ref.stats == got.stats, f"stats diverged (hot={hot})"
     expected_serial = sum(
         32 - np.unique(idx[w * 32:(w + 1) * 32]).size for w in range(n // 32)
     )

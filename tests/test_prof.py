@@ -136,7 +136,7 @@ class TestLaunchProfileContract:
         assert res.profile is None
 
     def test_profiled_launch_attributes_lines(self):
-        res = profiled(backend="compiled")
+        res = profiled(backend="megablock")
         p = res.profile
         assert p is not None and p.kernel == "saxpy"
         # Every attributed line is a real 1-indexed source line.
@@ -162,7 +162,7 @@ class TestLaunchProfileContract:
 
 class TestTimeline:
     def test_build_timeline_covers_all_blocks(self):
-        res = profiled(backend="compiled")
+        res = profiled(backend="megablock")
         tl = build_timeline(res)
         assert len(tl.intervals) == 8
         assert tl.num_smx == res.device.num_smx
@@ -181,7 +181,7 @@ class TestTimeline:
         """The exported JSON must satisfy the trace_event contract Perfetto
         and chrome://tracing validate: an object with a traceEvents list,
         every event carrying ph/pid/tid, complete events carrying ts+dur."""
-        res = profiled(backend="compiled")
+        res = profiled(backend="megablock")
         trace = chrome_trace(res)
         events = trace["traceEvents"]
         assert isinstance(events, list) and events
@@ -200,7 +200,7 @@ class TestTimeline:
         assert trace["otherData"]["blocks"] == 8
 
     def test_save_trace_round_trips(self, tmp_path):
-        res = profiled(backend="compiled")
+        res = profiled(backend="megablock")
         out = tmp_path / "trace.json"
         save_trace(res, str(out))
         loaded = json.loads(out.read_text())
@@ -210,7 +210,7 @@ class TestTimeline:
 
 class TestReport:
     def test_report_lists_hot_lines_with_source(self):
-        res = profiled(backend="compiled")
+        res = profiled(backend="megablock")
         text = top_lines_report(res.profile, SRC, limit=5)
         assert "saxpy" in text
         assert "out[i] = a[i] * 2.0f + b[i];" in text
@@ -231,11 +231,11 @@ class TestRegistry:
     def test_record_fetch_and_list(self):
         p = KernelProfile(kernel="k")
         p.stmt(1, 32)
-        record_profile("bench/k/compiled", p, backend="compiled")
-        entry = get_profile("bench/k/compiled")
+        record_profile("bench/k/megablock", p, backend="megablock")
+        entry = get_profile("bench/k/megablock")
         assert entry is not None and entry.profile is p
-        assert entry.meta == {"backend": "compiled"}
-        assert profile_names() == ["bench/k/compiled"]
+        assert entry.meta == {"backend": "megablock"}
+        assert profile_names() == ["bench/k/megablock"]
 
     def test_none_profile_is_noop(self):
         assert record_profile("x", None) is None
@@ -305,7 +305,7 @@ class TestCacheRow:
             assert "variant:miss" in kinds and "variant:store" in kinds
             assert min(ev["ts"] for ev in instants) == 0.0
 
-            res = profiled(backend="compiled")
+            res = profiled(backend="megablock")
             trace = chrome_trace(res)
             rows = [
                 ev for ev in trace["traceEvents"]

@@ -110,6 +110,7 @@ class TestProtocol:
               for value in ([[1]], ["a"], [None], [1.5], [1, [2]], True,
                             [True], 2.0)),
             json.dumps({**good, "options": {"backend": "cuda"}}).encode(),
+            json.dumps({**good, "options": {"backend": "compiled"}}).encode(),
             json.dumps({**good, "options": {"deadline_ms": -1}}).encode(),
             # Deadlines must be finite (a NaN one would answer 504 at once).
             *(json.dumps({**good, "options": {"deadline_ms": value}}).encode()
@@ -166,7 +167,7 @@ class TestProtocol:
             {**base, "args": {**base["args"], "n": 5}},
             {**base, "args": {"x": encode_array(np.ones(4, dtype=np.float32)),
                               "n": 4}},
-            {**base, "options": {"backend": "compiled"}},
+            {**base, "options": {"backend": "interp"}},
             {**base, "options": {"profile": True}},
         ]
         for variant in variants:
@@ -435,7 +436,9 @@ class TestServerHTTP:
     def test_malformed_request_400(self, client):
         # A non-int grid element is answered, not a dropped connection.
         for body in ({"kernel": ""}, {"kernel": SAXPY, "grid": [[1]],
-                                      "block": 64}):
+                                      "block": 64},
+                     {"kernel": SAXPY, "grid": 1, "block": 64,
+                      "options": {"backend": "compiled"}}):
             with pytest.raises(ServeError) as excinfo:
                 client._request("POST", "/v1/launch", body)
             assert excinfo.value.status == 400
@@ -497,6 +500,27 @@ def _wire_args_n(n):
     x = np.arange(n, dtype=np.float32)
     y = np.ones(n, dtype=np.float32)
     return {"x": x, "y": y, "a": 2.0, "n": n}
+
+
+class TestStartupBackendCheck:
+    """A bad ``GPUSIM_BACKEND`` stops ``python -m repro.serve`` before it
+    binds its port, instead of answering every launch with a 500."""
+
+    @pytest.mark.parametrize("value", ["compiledd", "compiled"])
+    def test_bad_backend_exits_before_binding(
+        self, value, monkeypatch, capsys
+    ):
+        from repro.serve import __main__ as serve_main
+
+        def no_bind(*args, **kwargs):
+            raise AssertionError("server bound a port despite a bad backend")
+
+        monkeypatch.setenv("GPUSIM_BACKEND", value)
+        monkeypatch.setattr(serve_main, "KernelServer", no_bind)
+        assert serve_main.main(["--port", "0"]) != 0
+        err = capsys.readouterr().err
+        assert "GPUSIM_BACKEND" in err and repr(value) in err
+        assert "'megablock'" in err and "'interp'" in err
 
 
 class TestKernelCacheDedupe:
