@@ -3,12 +3,19 @@
 All nodes are plain dataclasses.  Transform passes produce *new* trees via
 :func:`clone` plus targeted rewrites; nothing in the compiler mutates a tree
 it does not own.
+
+Trees are trees: no :class:`Node`, list or dict object is reachable twice
+from one root, either after parsing or after any pass.  Everything else a
+node holds is an immutable leaf (the frozen types, :class:`SourceLoc`,
+str, int, float, bool, None, tuples of those), which copies share.
+:func:`clone` relies on that contract: it copies the Node/list/dict
+structure and shares the leaves.  :func:`walk` visits a tree pre-order,
+children in source order (field declaration order, list items in order).
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 from .errors import SourceLoc
@@ -319,31 +326,75 @@ class Program(Node):
 # Generic traversal helpers
 # ---------------------------------------------------------------------------
 
+#: Per node class: the names of its dataclass fields except ``loc``, in
+#: declaration (= source) order.  Filled on first use of each class so no
+#: visit calls :func:`dataclasses.fields`.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _child_fields(cls: type) -> tuple[str, ...]:
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = tuple(f.name for f in fields(cls) if f.name != "loc")
+        _CHILD_FIELDS[cls] = names
+    return names
+
+
+#: The containers :func:`clone` copies; every other value is a shared leaf.
+_COPIED = (Node, list, dict)
+
 
 def clone(node):
-    """Deep-copy an AST node (or list of nodes)."""
-    return copy.deepcopy(node)
+    """Structurally copy an AST node (or a list or dict of nodes).
+
+    Every Node, list and dict below ``node`` is a new object; every other
+    value is an immutable leaf and is shared with the source (see the
+    module docstring).  The source tree has no shared subtrees, so neither
+    does the copy.
+    """
+    if isinstance(node, Node):
+        new = object.__new__(type(node))
+        new.__dict__ = clone(node.__dict__)
+        return new
+    if isinstance(node, list):
+        return [clone(v) if isinstance(v, _COPIED) else v for v in node]
+    if isinstance(node, dict):
+        return {k: clone(v) if isinstance(v, _COPIED) else v for k, v in node.items()}
+    return node
+
+
+def _child_list(node: Node) -> list[Node]:
+    """The direct child nodes of ``node`` in source order."""
+    kids: list[Node] = []
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            kids.append(value)
+        elif isinstance(value, list):
+            kids.extend([item for item in value if isinstance(item, Node)])
+    return kids
 
 
 def children(node: Node) -> Iterator[Node]:
     """Yield direct child nodes of ``node`` in source order."""
-    for f in fields(node):
-        if f.name == "loc":
-            continue
-        value = getattr(node, f.name)
-        if isinstance(value, Node):
-            yield value
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
+    yield from _child_list(node)
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Yield ``node`` and all descendants, pre-order."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    """Yield ``node`` and all descendants, pre-order: a node, then each
+    child's subtree in source order.
+
+    A node's children are read only when the caller resumes after receiving
+    that node, so a caller may replace the visited node's child fields
+    (``body``, ``stmts``, ...) and the walk descends into the new children.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        kids = _child_list(node)
+        kids.reverse()
+        stack += kids
 
 
 def names_used(node: Node) -> set[str]:
@@ -355,19 +406,18 @@ def map_expr(node, fn):
     """Return a copy of ``node`` with every :class:`Expr` descendant replaced
     by ``fn(expr)`` (applied bottom-up).  ``fn`` must return an Expr.
     """
-    if not is_dataclass(node) or not isinstance(node, Node):
+    if not isinstance(node, Node):
         return node
-    new = copy.copy(node)
-    for f in fields(node):
-        if f.name == "loc":
-            continue
-        value = getattr(node, f.name)
+    new = object.__new__(type(node))
+    new.__dict__.update(node.__dict__)
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
         if isinstance(value, Node):
-            setattr(new, f.name, map_expr(value, fn))
+            setattr(new, name, map_expr(value, fn))
         elif isinstance(value, list):
             setattr(
                 new,
-                f.name,
+                name,
                 [map_expr(v, fn) if isinstance(v, Node) else v for v in value],
             )
     if isinstance(new, Expr):

@@ -24,7 +24,6 @@ import signal
 import sys
 import threading
 
-from ..gpusim.launch import default_backend
 from .app import KernelServer
 
 DEFAULT_PORT = 8642
@@ -61,22 +60,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        default_backend()
-    except ValueError as exc:
+        server = KernelServer(
+            (args.host, args.port),
+            max_inflight=args.max_inflight,
+            debug=args.debug,
+        )
+    except ValueError as exc:  # a bad GPUSIM_BACKEND, raised before binding
         print(f"repro.serve: {exc}", file=sys.stderr, flush=True)
         return 2
+    host, port = server.server_address[:2]
 
     if args.cache_dir:
         from ..gpusim import diskcache
 
         diskcache.configure(args.cache_dir)
-
-    server = KernelServer(
-        (args.host, args.port),
-        max_inflight=args.max_inflight,
-        debug=args.debug,
-    )
-    host, port = server.server_address[:2]
 
     drained = {}
     drain_started = threading.Event()

@@ -69,6 +69,9 @@ class KernelServer(ThreadingHTTPServer):
 
     def __init__(self, address, *, max_inflight: int = 32,
                  debug: bool = False) -> None:
+        # A bad GPUSIM_BACKEND raises its ValueError here, before the
+        # socket binds, instead of failing every launch with a 500.
+        default_backend()
         super().__init__(address, ServeHandler)
         self.max_inflight = max_inflight
         self.debug = debug

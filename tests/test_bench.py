@@ -3,17 +3,26 @@
 import copy
 import json
 import os
+import pathlib
 
 import pytest
 
 from repro.bench import (
     QUICK_KERNELS,
+    _compile_split,
     bench_kernel,
     compare_reports,
     main,
     run_serve_bench,
 )
+from repro.kernels import BENCHMARKS
 from repro.serve.metrics import clear_serve_events
+
+#: The committed bench report whose variant digests pin the NP compiler's
+#: emitted source.
+COMMITTED = json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / "BENCH_gpusim.json").read_text()
+)
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +44,16 @@ def test_bench_kernel_record():
     assert rec["megablock_megawarp"] in (True, False, None)
     if rec["megablock_fallback"] is None:
         assert rec["megablock_megawarp"] is not None
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_compile_split_emits_the_committed_variant_sources(name):
+    """Every compiled NP variant of each paper kernel emits byte-identical
+    source to the committed ``BENCH_gpusim.json`` (count and sha256)."""
+    _, np_variants, variants_digest = _compile_split(BENCHMARKS[name]())
+    committed = COMMITTED["kernels"][name]
+    assert np_variants == committed["np_variants"]
+    assert variants_digest == committed["variants_digest"]
 
 
 def test_main_quick_writes_json(tmp_path, capsys):

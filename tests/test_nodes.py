@@ -1,7 +1,10 @@
 """AST node utilities: traversal, cloning, substitution, builders."""
 
+import dataclasses
+
 import pytest
 
+from repro.kernels import BENCHMARKS
 from repro.minicuda import nodes as n
 from repro.minicuda.build import (
     add,
@@ -16,7 +19,9 @@ from repro.minicuda.build import (
     name,
     sync,
 )
+from repro.minicuda.errors import MiniCudaError, SourceLoc
 from repro.minicuda.parser import parse_kernel
+from repro.minicuda.pretty import emit_kernel
 
 
 def test_scalar_type_validation():
@@ -116,3 +121,98 @@ class TestBuilders:
     def test_decl_builder(self):
         d = decl("x", n.FLOAT, 0.0)
         assert d.name == "x" and isinstance(d.init, n.FloatLit)
+
+
+# ---------------------------------------------------------------------------
+# The clone/walk contract over the paper kernels and their NP variants
+# ---------------------------------------------------------------------------
+
+_MUTABLE = (n.Node, list, dict)
+_SHARED_LEAVES = (n.ScalarType, n.PointerType, n.ArrayType, SourceLoc)
+
+
+@pytest.fixture(scope="module", params=sorted(BENCHMARKS))
+def paper_trees(request) -> list:
+    """A paper kernel as parsed, then every compiled variant of it (padded
+    ones included)."""
+    bench = BENCHMARKS[request.param]()
+    trees = [parse_kernel(bench.source)]
+    for config in bench.configs(include_padded=True):
+        try:
+            trees.append(bench.compile_variant(config).kernel)
+        except MiniCudaError:
+            continue
+    return trees
+
+
+def _reachable(root) -> list:
+    """Every object reachable from ``root`` through node attributes, lists,
+    tuples and dicts, once per path (a shared object appears twice)."""
+    out = []
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        out.append(obj)
+        if isinstance(obj, n.Node):
+            stack.extend(reversed(list(vars(obj).values())))
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(reversed(obj))
+        elif isinstance(obj, dict):
+            stack.extend(reversed(list(obj.values())))
+    return out
+
+
+def _reference_preorder(node) -> list:
+    out = [node]
+    for f in dataclasses.fields(node):
+        if f.name == "loc":
+            continue
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, n.Node):
+                out.extend(_reference_preorder(item))
+    return out
+
+
+class TestTreeContract:
+    def test_no_node_reachable_twice(self, paper_trees):
+        for tree in paper_trees:
+            mutable = [o for o in _reachable(tree) if isinstance(o, _MUTABLE)]
+            assert len({id(o) for o in mutable}) == len(mutable), tree.name
+
+    def test_clone_equals_and_emits_same_source(self, paper_trees):
+        for tree in paper_trees:
+            copy = n.clone(tree)
+            assert copy == tree
+            assert emit_kernel(copy) == emit_kernel(tree)
+
+    def test_clone_copies_structure_and_shares_leaves(self, paper_trees):
+        for tree in paper_trees:
+            source, copy = _reachable(tree), _reachable(n.clone(tree))
+            assert [type(o) for o in source] == [type(o) for o in copy]
+            source_ids = {id(o) for o in source if isinstance(o, _MUTABLE)}
+            assert not any(
+                id(o) in source_ids for o in copy if isinstance(o, _MUTABLE)
+            ), tree.name
+            leaves = [
+                (a, b) for a, b in zip(source, copy) if isinstance(a, _SHARED_LEAVES)
+            ]
+            assert {type(a) for a, _ in leaves} >= {n.ScalarType, SourceLoc}
+            assert all(a is b for a, b in leaves), tree.name
+
+    def test_walk_is_recursive_preorder(self, paper_trees):
+        for tree in paper_trees:
+            got, want = list(n.walk(tree)), _reference_preorder(tree)
+            assert len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want)), tree.name
+
+
+def test_walk_descends_into_children_replaced_during_the_walk():
+    stmt = if_(e("c"), [assign("x", 1)], [assign("y", 2)])
+    seen = []
+    for node in n.walk(stmt):
+        seen.append(node)
+        if isinstance(node, n.If):
+            node.then = n.Block([assign("z", 3)])
+    assert "z" in {x.id for x in seen if isinstance(x, n.Name)}
+    assert "x" not in {x.id for x in seen if isinstance(x, n.Name)}

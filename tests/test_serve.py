@@ -503,8 +503,15 @@ def _wire_args_n(n):
 
 
 class TestStartupBackendCheck:
-    """A bad ``GPUSIM_BACKEND`` stops ``python -m repro.serve`` before it
+    """A bad ``GPUSIM_BACKEND`` stops a :class:`KernelServer` before it
     binds its port, instead of answering every launch with a 500."""
+
+    @staticmethod
+    def _forbid_bind(monkeypatch):
+        def no_bind(self):
+            raise AssertionError("server bound a port despite a bad backend")
+
+        monkeypatch.setattr(KernelServer, "server_bind", no_bind)
 
     @pytest.mark.parametrize("value", ["compiledd", "compiled"])
     def test_bad_backend_exits_before_binding(
@@ -512,15 +519,21 @@ class TestStartupBackendCheck:
     ):
         from repro.serve import __main__ as serve_main
 
-        def no_bind(*args, **kwargs):
-            raise AssertionError("server bound a port despite a bad backend")
-
         monkeypatch.setenv("GPUSIM_BACKEND", value)
-        monkeypatch.setattr(serve_main, "KernelServer", no_bind)
-        assert serve_main.main(["--port", "0"]) != 0
+        self._forbid_bind(monkeypatch)
+        assert serve_main.main(["--port", "0"]) == 2
         err = capsys.readouterr().err
         assert "GPUSIM_BACKEND" in err and repr(value) in err
         assert "'megablock'" in err and "'interp'" in err
+
+    def test_in_process_server_raises_before_binding(self, monkeypatch):
+        monkeypatch.setenv("GPUSIM_BACKEND", "bogus")
+        self._forbid_bind(monkeypatch)
+        with pytest.raises(
+            ValueError,
+            match="GPUSIM_BACKEND must be 'megablock' or 'interp', got 'bogus'",
+        ):
+            KernelServer(("127.0.0.1", 0))
 
 
 class TestKernelCacheDedupe:
