@@ -534,7 +534,7 @@ def format_serve_report(report: dict) -> str:
         f"server window: launches={window.get('launches')} "
         f"coalesced={window.get('coalesced')} "
         f"completed={window.get('completed')} "
-        f"shed={window.get('shed_breaker', 0) + window.get('shed_capacity', 0)}",
+        f"shed={window.get('shed_capacity', 0)}",
         f"engine: default {report['default_backend']}, responses by "
         f"backend {report['backends']}",
         "bit-identity vs direct launch(): "

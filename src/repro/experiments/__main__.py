@@ -1,5 +1,5 @@
 """CLI: ``python -m repro.experiments [--fast] [--chart] [--profile]
-[--parallel N] [--cache-dir PATH] [--json PATH] [ids...]``."""
+[--cache-dir PATH] [--json PATH] [ids...]``."""
 
 import sys
 
@@ -25,11 +25,6 @@ def main(argv: list[str]) -> int:
         from . import util
 
         util.PROFILE_LAUNCHES = True
-    argv, parallel = _take_value(argv, "--parallel")
-    if parallel is not None:
-        from . import util
-
-        util.AUTOTUNE_PARALLEL = int(parallel)
     argv, cache_dir = _take_value(argv, "--cache-dir")
     if cache_dir is not None:
         from ..gpusim import diskcache

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..gpusim.errors import SimError
 from ..kernels import BENCHMARKS
 from .scales import paper_scale
-from .util import ExperimentResult, autotune_kwargs, geomean
+from .util import ExperimentResult, geomean
 
 FAST_SLAVE_SIZES = (4, 8)
 FULL_SLAVE_SIZES = (2, 4, 8, 16, 32)
@@ -34,7 +34,6 @@ def run(fast: bool = False) -> ExperimentResult:
                 configs=bench.configs(slave_sizes=sizes),
                 check=False,          # sampled launches: outputs are partial
                 sample_blocks=sample,
-                **autotune_kwargs(),  # --parallel shards the variant space
             )
             best = report.best      # RuntimeError when every variant faulted
             speedup = report.best_speedup

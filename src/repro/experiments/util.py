@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ..gpusim.diagnostics import FaultReport
 from ..gpusim.errors import SimError
@@ -15,21 +15,10 @@ from ..gpusim.errors import SimError
 #: :mod:`repro.prof` registry under ``"<exp_id>/<benchmark>"`` names.
 PROFILE_LAUNCHES = False
 
-#: When set (``python -m repro.experiments --parallel N``), auto-tuning
-#: experiment scripts shard their variant searches across N persistent
-#: pool workers (see ``repro.npc.autotune(..., parallel=)``) — results are
-#: identical to the sequential search; only wall-clock changes.
-AUTOTUNE_PARALLEL: Optional[int] = None
-
 
 def profile_kwargs() -> dict:
     """Launch kwargs for an experiment's measurement launches."""
     return {"profile": True} if PROFILE_LAUNCHES else {}
-
-
-def autotune_kwargs() -> dict:
-    """Autotune kwargs honoring the harness-level ``--parallel`` flag."""
-    return {"parallel": AUTOTUNE_PARALLEL} if AUTOTUNE_PARALLEL else {}
 
 
 def attach_profile(exp_id: str, label: str, result) -> None:

@@ -10,8 +10,6 @@ The substrate that stands in for the paper's GTX 680 / K20c hardware:
 - :mod:`~repro.gpusim.megablock` — batch-vectorized execution engine (default)
 - :mod:`~repro.gpusim.compile` — kernel analyses + digest-keyed lowering cache
 - :mod:`~repro.gpusim.diskcache` — persistent content-addressed cache tier
-- :mod:`~repro.gpusim.pool` — supervised persistent pool for whole-launch tasks
-- :mod:`~repro.gpusim.resilience` — deadlines, retries, circuit breaker
 - :mod:`~repro.gpusim.stream` — async launches with stream ordering
 - :mod:`~repro.gpusim.occupancy` — CUDA occupancy calculator
 - :mod:`~repro.gpusim.timing` — Hong–Kim MWP/CWP kernel-time model
@@ -44,16 +42,7 @@ from .errors import (
 )
 from .faults import FaultInjector, FaultSpec, InjectionRecord
 from .launch import LaunchResult, default_backend, launch, run_kernel
-from .pool import shutdown_pool
 from .racecheck import Sanitizer, SanitizerFinding, SanitizerReport
-from .resilience import (
-    CircuitBreaker,
-    PoolEvent,
-    ResilienceConfig,
-    ResilienceTelemetry,
-    get_breaker,
-    reset_breaker,
-)
 from .stream import Event, LaunchFuture, Stream, default_stream, launch_async
 from .report import compare_report, profile_report
 from .occupancy import Occupancy, ResourceUsage, compute_occupancy

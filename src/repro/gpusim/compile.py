@@ -441,7 +441,7 @@ class CompileCacheStats:
     hits: int = 0
     misses: int = 0
     size: int = 0
-    #: Process the counters belong to.  Forked pool workers inherit the
+    #: Process the counters belong to.  Forked processes inherit the
     #: parent's cache through copy-on-write but must not inherit its
     #: hit/miss history as their own — see :func:`_check_fork`.
     pid: int = 0
@@ -463,7 +463,7 @@ _CACHE_STATS = CompileCacheStats(pid=os.getpid())
 def _check_fork() -> None:
     """Keep cache accounting honest across ``fork``.
 
-    A forked worker inherits the parent's cache *contents* (copy-on-write
+    A forked process inherits the parent's cache *contents* (copy-on-write
     artifacts genuinely serve hits in the child, so they stay) and also the
     parent's ``_CACHE_STATS`` counters — which would silently report the
     parent's compile history as the child's own.  On first cache use in a
@@ -505,7 +505,7 @@ def compile_kernel(kernel: Kernel, cache: bool = True, profile: bool = False):
 
 
 def compile_cache_stats() -> CompileCacheStats:
-    """Per-process cache counters (honest under forked workers: a child's
+    """Per-process cache counters (honest under forked processes: a child's
     counters restart at zero, its ``pid`` field says whose they are)."""
     _check_fork()
     _CACHE_STATS.size = len(_CACHE)

@@ -2,7 +2,7 @@
 
 The in-memory caches — the compile LRU (:mod:`repro.gpusim.compile`) and
 the digest×NpConfig variant cache (:mod:`repro.npc.pipeline`) — die with
-their process, so every bench run, CI job, serve worker, and autotune shard
+their process, so every bench run, CI job, server and experiment run
 pays the full NP-transform + lowering cost from scratch.  This module is
 the persistent tier underneath them: entries are addressed by the sha256
 content digests those caches already key on, so two processes that would
@@ -34,9 +34,8 @@ Activation: set ``GPUSIM_CACHE_DIR`` or call :func:`configure` (which
 directory the tier is inert and every accessor returns zeros.
 
 Entries are JSON envelopes carrying human-readable key metadata plus an
-optional base64-pickled payload (``blob``).  Pickled payloads are trusted
-the same way the worker pool's pickled task pipes are: the cache directory
-is local, developer-owned state.
+optional base64-pickled payload (``blob``).  Pickled payloads are trusted:
+the cache directory is local, developer-owned state.
 """
 
 from __future__ import annotations

@@ -19,24 +19,6 @@ exactly that:
   scattered, forcing worst-case transaction counts (a performance fault,
   visible in the statistics rather than as an exception).
 
-Three further kinds target the *worker pool* rather than the simulated
-machine, so every resilience behaviour of :mod:`repro.gpusim.pool` is
-testable without real flakiness:
-
-- ``worker_crash``    — the worker process running the targeted task dies
-  (``os._exit``) after accepting it;
-- ``worker_hang``     — the worker stops responding, so the pool's
-  per-task deadline watchdog must kill and replace it;
-- ``worker_slow``     — the worker sleeps :attr:`FaultSpec.delay` seconds
-  before executing (a straggler, not a fault: it must *not* trip retries).
-
-Worker faults are resolved in the parent at task dispatch time (see
-:meth:`FaultInjector.poll_worker_fault`) so firing stays deterministic even
-though the behaviour executes inside a worker process; each firing is
-recorded like any other kind.  A worker fault's ``block`` filter selects a
-task index (for a sharded autotune, the variant's position among the
-launchable configs), not a thread block.
-
 Every firing is appended to :attr:`FaultInjector.records` with a full
 :class:`~repro.gpusim.diagnostics.FaultContext`, so even *silent* faults
 (bit flips, shuffles, mis-coalescing) are attributable to the exact
@@ -50,7 +32,7 @@ workload plant the same faults.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,8 +40,9 @@ import numpy as np
 from .diagnostics import FaultContext
 from .errors import InjectedFault
 
-#: Fault classes planted inside the simulated machine (interpreter hooks).
-SIM_FAULT_KINDS = (
+#: Fault classes the injector can plant, all inside the simulated machine
+#: (interpreter hooks).
+FAULT_KINDS = (
     "drop_launch",
     "global_oob",
     "shared_oob",
@@ -68,16 +51,6 @@ SIM_FAULT_KINDS = (
     "skip_sync",
     "miscoalesce",
 )
-
-#: Fault classes planted in the worker pool's processes.
-WORKER_FAULT_KINDS = (
-    "worker_crash",
-    "worker_hang",
-    "worker_slow",
-)
-
-#: All fault classes the injector can plant.
-FAULT_KINDS = SIM_FAULT_KINDS + WORKER_FAULT_KINDS
 
 
 @dataclass(frozen=True)
@@ -94,13 +67,11 @@ class FaultSpec:
     kernel: Optional[str] = None      # exact kernel-name match
     target: Optional[str] = None      # buffer / array name (memory faults)
     launch_index: Optional[int] = None
-    block: Optional[int] = None       # linear block id (worker faults: task index)
+    block: Optional[int] = None       # linear block id
     warp: Optional[int] = None
     lane: Optional[int] = None        # None -> seeded pick among active lanes
     bit: Optional[int] = None         # bit to flip (bit_flip); seeded if None
     count: int = 1
-    #: ``worker_slow`` straggler delay in seconds.
-    delay: float = 0.2
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -154,19 +125,6 @@ class FaultInjector:
         if kind is None:
             return len(self.records)
         return sum(1 for r in self.records if r.kind == kind)
-
-    def worker_only(self) -> bool:
-        """True when every planted spec targets the worker pool.
-
-        Such an injector never needs interpreter hooks: a launch still
-        batches on the megablock engine, and a sharded autotune still uses
-        the pool, which resolves the specs at task dispatch time.  An
-        injector with *no* specs is not worker-only: it keeps the
-        conservative per-block fallback it always had.
-        """
-        return bool(self.specs) and all(
-            s.kind in WORKER_FAULT_KINDS for s in self.specs
-        )
 
     def _match(self, kind: str, kernel: str, target: Optional[str] = None,
                block: Optional[int] = None, warp: Optional[int] = None):
@@ -319,32 +277,6 @@ class FaultInjector:
         ctx = site.make_context(lanes=(lane,), injected=True)
         self._record("skip_sync", ctx, f"lane {lane} withheld from __syncthreads")
         return skip
-
-    def poll_worker_fault(self, kernel: str, task_index: int,
-                          worker_pid: Optional[int] = None):
-        """Arm-and-consume one worker fault for a task about to dispatch.
-
-        Called by the pool in the *parent* process each time a task is
-        handed to a worker (including re-dispatches after a fault), so
-        firing order is deterministic regardless of worker timing.  A spec
-        matches when its ``block`` filter is unset or names this task
-        index.  Returns ``(kind, delay)`` or ``None``.
-        """
-        for i, spec in enumerate(self.specs):
-            if spec.kind not in WORKER_FAULT_KINDS or self._fired[i] >= spec.count:
-                continue
-            if spec.kernel is not None and spec.kernel != kernel:
-                continue
-            if spec.launch_index is not None and spec.launch_index != self._launch_index:
-                continue
-            if spec.block is not None and spec.block != task_index:
-                continue
-            self._fired[i] += 1
-            ctx = FaultContext(kernel=kernel, injected=True)
-            who = f"worker pid {worker_pid}" if worker_pid else "worker"
-            self._record(spec.kind, ctx, f"{who} task {task_index}")
-            return spec.kind, spec.delay
-        return None
 
     def corrupt_addrs(self, site, space: str, name: str, addrs: np.ndarray,
                       mask: np.ndarray) -> np.ndarray:

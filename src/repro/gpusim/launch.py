@@ -209,7 +209,9 @@ def launch(
     exceptions; ``on_error="status"`` contains them and returns a
     :class:`LaunchResult` whose :attr:`LaunchResult.error` describes the
     fault.  ``faults`` is an optional
-    :class:`~repro.gpusim.faults.FaultInjector`.
+    :class:`~repro.gpusim.faults.FaultInjector`; every injector needs the
+    interpreter's hooks, so such a launch runs one block at a time
+    (``megablock_fallback="faults"``).
 
     ``synccheck=True`` enables strict barrier validation (the analogue of
     ``compute-sanitizer --tool synccheck``): every non-exited lane must be
@@ -240,10 +242,7 @@ def launch(
     for the Chrome-trace exporter and terminal reports.  Profiles are
     bit-identical across backends.
 
-    Every launch runs in the calling process.  An injector whose specs are
-    *all* worker faults (``worker_crash`` / ``worker_hang`` /
-    ``worker_slow``) needs no interpreter hooks, so it does not force the
-    per-block path; only the worker pool consults those specs.
+    Every launch runs in the calling process.
 
     ``cache_dir`` activates the process-wide persistent cache tier rooted
     at that directory (equivalent to exporting ``GPUSIM_CACHE_DIR``):
@@ -357,9 +356,8 @@ def launch(
             block_ids = list(range(total_blocks))
 
         # Megablock eligibility: anything needing per-block interpreter
-        # hooks (trace, sim-faults, sanitizers) runs per block on interp;
-        # the reason is observable on the result.  An injector whose every
-        # spec targets the worker pool needs no hooks.  Atomics are
+        # hooks (trace, fault injection, sanitizers) runs per block on
+        # interp; the reason is observable on the result.  Atomics are
         # batch-safe since the deterministic sort-by-address fold, but only
         # under the flattened (megawarp) row order — when a kernel uses
         # atomics and this launch cannot flatten, it falls back with reason
@@ -368,7 +366,7 @@ def launch(
         if program is not None:
             if trace:
                 megablock_fallback = "trace"
-            elif faults is not None and not faults.worker_only():
+            elif faults is not None:
                 megablock_fallback = "faults"
             elif sanitizer is not None:
                 megablock_fallback = "sanitizer"

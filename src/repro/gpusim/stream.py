@@ -268,24 +268,32 @@ class Stream:
                     f"{still_pending} launch(es) still pending"
                 )
 
-    def close(self) -> None:
+    def close(self, timeout: Optional[float] = None) -> bool:
         """Drain the stream and stop its worker thread.
 
         Launches already enqueued still run (the shutdown sentinel sits
-        behind them in the FIFO).  Any future somehow left unfulfilled
-        after the worker exits is failed with a located
-        :class:`~repro.gpusim.errors.LaunchError` naming the stream and
-        queue position — ``result()`` can never hang on a closed stream.
+        behind them in the FIFO).  ``timeout=None`` blocks until the worker
+        exits; otherwise the join waits at most ``timeout`` seconds, and a
+        worker still busy then keeps the launches still queued and fulfils
+        them in FIFO order before it reaches the sentinel.  Returns True
+        once the worker has exited, False while it is still busy; calling
+        ``close`` again waits again.
+
+        Any future somehow left unfulfilled after the worker exits is
+        failed with a located :class:`~repro.gpusim.errors.LaunchError`
+        naming the stream and queue position — ``result()`` can never hang
+        on a closed stream.
         """
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
             thread = self._thread
-            if thread is not None and thread.is_alive():
-                self._queue.put(None)
-        if thread is not None and thread.is_alive():
-            thread.join()
+            if not self._closed:
+                self._closed = True
+                if thread is not None and thread.is_alive():
+                    self._queue.put(None)
+        if thread is not None:
+            thread.join(timeout)
+            if thread.is_alive():
+                return False
         self._thread = None
         with self._lock:
             leftovers = [f for f in self._pending if not f.done()]
@@ -298,6 +306,7 @@ class Stream:
                     f"launch at queue position {future.position} executed"
                 ),
             )
+        return True
 
     def __enter__(self) -> "Stream":
         return self

@@ -5,24 +5,16 @@ multiple choices, such as intra-warp NP or inter-warp NP, and different
 numbers of slave threads."  Because CUDA-NP generates only a handful of
 variants, exhaustive search is practical — each variant is compiled, run on
 the simulator, checked against the baseline's functional output, and ranked
-by modeled kernel time.
+by modeled kernel time.  The search runs in the calling process, one
+variant after another.
 
-Two amortization layers sit on top of the exhaustive search:
-
-- **Sharding** (``parallel=N``): the variant space fans out across the
-  supervised persistent :class:`~repro.gpusim.pool.WorkerPool`, reusing its
-  deadlines, bounded retries, respawn budget, and the process-wide circuit
-  breaker.  Results are bit-identical to the sequential search (the
-  simulator is deterministic and arguments are materialized in config
-  order either way); a shard whose worker crashes past the retry budget
-  degrades to a disqualified :class:`TunePoint`, never a wrong answer.
-- **Outcome persistence**: when the disk tier is active
-  (``GPUSIM_CACHE_DIR`` / ``launch(..., cache_dir=)``), finished searches
-  are recorded per kernel-digest × device × variant space, and
-  ``reuse=True`` (or ``GPUSIM_AUTOTUNE_REUSE=1``) lets a warm process skip
-  re-measuring: cached per-point modeled seconds are restored onto the
-  points (the timing model is deterministic, so they equal what a
-  re-measurement would produce).
+**Outcome persistence** amortizes repeated searches: when the disk tier is
+active (``GPUSIM_CACHE_DIR`` / ``launch(..., cache_dir=)``), finished
+searches are recorded per kernel-digest × device × variant space, and
+``reuse=True`` (or ``GPUSIM_AUTOTUNE_REUSE=1``) lets a warm process skip
+re-measuring: cached per-point modeled seconds are restored onto the
+points (the timing model is deterministic, so they equal what a
+re-measurement would produce).
 """
 
 from __future__ import annotations
@@ -34,18 +26,11 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..gpusim import pool as gpupool
 from ..gpusim.device import DeviceSpec, GTX680
 from ..gpusim.diagnostics import FaultReport
 from ..gpusim.diskcache import get_disk_cache
 from ..gpusim.errors import SimError
 from ..gpusim.launch import Dim, LaunchResult, launch, _as_dim3
-from ..gpusim.memory import GlobalMemory
-from ..gpusim.resilience import (
-    ResilienceConfig,
-    ResilienceTelemetry,
-    get_breaker,
-)
 from ..minicuda.errors import MiniCudaError
 from ..minicuda.nodes import Kernel
 from ..minicuda.parser import parse_kernel
@@ -84,9 +69,7 @@ class TunePoint:
     aborting the tuning run: the compiler rejects the configuration
     (``error`` set, ``result`` None), the simulated launch faults
     (``fault`` carries the located :class:`FaultReport`), or the output
-    check rejects it (``output_ok`` False).  A fourth way exists only under
-    sharded tuning: the worker executing the shard crashed or hung past the
-    pool's retry budget (``error`` names it) — degraded, never wrong.
+    check rejects it (``output_ok`` False).
 
     A point restored from the disk tier's persisted outcomes carries no
     :class:`~repro.gpusim.launch.LaunchResult`; its modeled time lives in
@@ -152,9 +135,6 @@ class AutotuneReport:
     kernel_name: str
     baseline: LaunchResult
     points: list[TunePoint] = field(default_factory=list)
-    #: Pool telemetry of the sharded search (None for a sequential search):
-    #: attempts, retries, deadline kills, breaker state, per-event log.
-    resilience: Optional[ResilienceTelemetry] = None
     #: True when the points were restored from a persisted outcome instead
     #: of re-measured (see ``autotune(..., reuse=...)``).
     from_cache: bool = False
@@ -197,92 +177,6 @@ class AutotuneReport:
 
 
 OutputCheck = Callable[[LaunchResult], bool]
-
-
-# -- sharded execution -------------------------------------------------------
-
-
-def _run_tune_task(payload: dict) -> dict:
-    """Worker-side shard runner: one variant launch, everything picklable.
-
-    Mirrors the sequential loop's two failure seams exactly: host-side
-    plumbing raising :class:`SimError` before containment lands in
-    ``raised``/``fault``; a contained launch fault rides back on the
-    result's ``error`` report.  Runs with ``on_error="status"`` like the
-    sequential path.
-    """
-    try:
-        result = launch(
-            payload["kernel"],
-            payload["grid"],
-            payload["block"],
-            payload["args"],
-            device=payload["device"],
-            const_arrays=payload["const_arrays"] or None,
-            sample_blocks=payload["sample_blocks"],
-            on_error="status",
-            backend=payload["backend"],
-            profile=payload["profile"],
-        )
-    except SimError as exc:
-        return {
-            "raised": str(exc),
-            "fault": FaultReport.from_exception(
-                exc, kernel=payload["kernel"].name
-            ),
-        }
-    return {
-        "stats": result.stats,
-        "occupancy": result.occupancy,
-        "timing": result.timing,
-        "usage": result.usage,
-        "buffers": {
-            name: buf.data for name, buf in result.gmem.buffers().items()
-        },
-        "sampled_blocks": result.sampled_blocks,
-        "sampled_block_ids": result.sampled_block_ids,
-        "backend": result.backend,
-        "megablock_fallback": result.megablock_fallback,
-        "megablock_megawarp": result.megablock_megawarp,
-        "profile": result.profile,
-        "error": result.error,
-    }
-
-
-def _rebuild_result(
-    variant: CompiledVariant, grid: Dim, device: DeviceSpec, payload: dict
-) -> LaunchResult:
-    """Parent-side reconstruction of a shard's :class:`LaunchResult`."""
-    gmem = GlobalMemory()
-    for name, arr in payload["buffers"].items():
-        gmem.alloc(name, arr)
-    return LaunchResult(
-        kernel_name=variant.kernel.name,
-        grid=_as_dim3(grid),
-        block=_as_dim3(variant.block),
-        device=device,
-        stats=payload["stats"],
-        occupancy=payload["occupancy"],
-        timing=payload["timing"],
-        usage=payload["usage"],
-        gmem=gmem,
-        sampled_blocks=payload["sampled_blocks"],
-        sampled_block_ids=payload["sampled_block_ids"],
-        backend=payload["backend"],
-        megablock_fallback=payload["megablock_fallback"],
-        megablock_megawarp=payload["megablock_megawarp"],
-        profile=payload["profile"],
-        error=payload["error"],
-    )
-
-
-def _resolve_shards(parallel) -> int:
-    """Worker count for the sharded search; < 2 means sequential."""
-    if parallel is None or parallel is False:
-        return 0
-    if parallel is True or parallel == "auto":
-        return os.cpu_count() or 1
-    return int(parallel)
 
 
 # -- persisted outcomes ------------------------------------------------------
@@ -428,10 +322,8 @@ def autotune(
     recombine_unrolled: bool = False,
     faults=None,
     backend: Optional[str] = None,
-    parallel: Optional[Union[int, bool, str]] = None,
     profile: bool = False,
     reuse: Optional[bool] = None,
-    resilience: Optional[ResilienceConfig] = None,
 ) -> AutotuneReport:
     """Exhaustively explore the CUDA-NP variant space for one kernel.
 
@@ -448,20 +340,6 @@ def autotune(
     because nothing downstream is meaningful without it.  ``faults`` is an
     optional :class:`~repro.gpusim.faults.FaultInjector` threaded through
     every launch.
-
-    ``parallel`` shards the *variant space* across the persistent
-    supervised :class:`~repro.gpusim.pool.WorkerPool` (an int shard-worker
-    count, or ``True``/``"auto"`` for one per CPU): each shard launches one
-    variant in its own worker process, under the pool's per-task deadlines,
-    bounded retries and the process-wide circuit breaker (``resilience``
-    overrides the policy; ``None`` reads the ``GPUSIM_*`` env knobs).  The
-    returned report is identical to the sequential search's — arguments are
-    materialized in config order either way and the simulator is
-    deterministic — except that a shard whose worker crashes or hangs past
-    the retry budget becomes a disqualified point, and
-    :attr:`AutotuneReport.resilience` carries the pool telemetry.  An open
-    breaker, an unavailable pool (no POSIX fork), or a non-worker
-    fault injector silently degrades the search to sequential.
 
     ``backend`` is forwarded to every launch (baseline and variants), so
     the whole search can run on the megablock or the interp engine;
@@ -539,10 +417,6 @@ def autotune(
 
     report = AutotuneReport(kernel_name=kernel.name, baseline=baseline)
 
-    # Compile pass, in config order (identical for sequential and sharded
-    # searches): compile failures become points immediately; survivors carry
-    # (config, variant) into the measurement pass.
-    entries: list[tuple[NpConfig, Optional[CompiledVariant], Optional[TunePoint]]] = []
     for config in configs:
         try:
             variant = compile_np(
@@ -553,95 +427,18 @@ def autotune(
                 recombine_unrolled=recombine_unrolled,
             )
         except MiniCudaError as exc:
-            entries.append(
-                (
-                    config,
-                    None,
-                    TunePoint(
-                        variant=_placeholder_variant(kernel, block_size, config),
-                        result=None,
-                        error=str(exc),
-                    ),
+            report.points.append(
+                TunePoint(
+                    variant=_placeholder_variant(kernel, block_size, config),
+                    result=None,
+                    error=str(exc),
                 )
             )
             continue
-        entries.append((config, variant, None))
-
-    launchable = [e for e in entries if e[1] is not None]
-    shards = _resolve_shards(parallel)
-    shard_results: Optional[dict] = None
-    if (
-        shards >= 2
-        and len(launchable) >= 2
-        and gpupool.available()
-        and (faults is None or faults.worker_only())
-    ):
-        res_cfg = resilience if resilience is not None else ResilienceConfig.from_env()
-        telemetry = ResilienceTelemetry()
-        breaker = get_breaker()
-        if not breaker.allow(res_cfg):
-            telemetry.breaker_state = breaker.state
-            telemetry.degraded = "sequential"
-            telemetry.record(
-                "breaker-skip", "circuit breaker open; tuning sequentially"
-            )
-            report.resilience = telemetry
-        else:
-            # Materialize arguments in config order — the exact order the
-            # sequential loop calls make_args() — so stochastic factories
-            # feed each config the same arrays either way.
-            payloads = []
-            for config, variant, _ in launchable:
-                gx, gy, gz = _as_dim3(grid)
-                full_args = variant.host_args(dict(make_args()), gx * gy * gz)
-                merged_const = dict(const_arrays or {})
-                merged_const.update(variant.const_arrays)
-                payloads.append(
-                    {
-                        "kernel": variant.kernel,
-                        "grid": grid,
-                        "block": variant.block,
-                        "args": full_args,
-                        "device": device,
-                        "const_arrays": merged_const,
-                        "sample_blocks": sample_blocks,
-                        "backend": backend,
-                        "profile": profile,
-                    }
-                )
-            trips_before = breaker.trips
-            outs = gpupool.get_pool().run_tasks(
-                "repro.npc.autotune:_run_tune_task",
-                payloads,
-                shards,
-                res_cfg,
-                telemetry,
-                injector=faults,
-                kernel_name=kernel.name,
-            )
-            breaker.record_result(telemetry.worker_faults, res_cfg)
-            telemetry.breaker_trips = breaker.trips - trips_before
-            telemetry.breaker_state = breaker.state
-            report.resilience = telemetry
-            if outs is not None:
-                shard_results = {
-                    id(entry): out for entry, out in zip(launchable, outs)
-                }
-
-    for entry in entries:
-        config, variant, ready_point = entry
-        if ready_point is not None:
-            report.points.append(ready_point)
-            continue
-        if shard_results is not None:
-            point = _point_from_shard(
-                variant, grid, device, shard_results[id(entry)]
-            )
-        else:
-            point = _measure_sequential(
-                variant, grid, make_args, device, const_arrays,
-                sample_blocks, faults, backend, profile,
-            )
+        point = _measure(
+            variant, grid, make_args, device, const_arrays,
+            sample_blocks, faults, backend, profile,
+        )
         if point.result is not None and point.error is None:
             point.output_ok = (
                 check_output(point.result) if check_output is not None else None
@@ -660,11 +457,11 @@ def autotune(
     return report
 
 
-def _measure_sequential(
+def _measure(
     variant, grid, make_args, device, const_arrays, sample_blocks, faults,
     backend, profile,
 ) -> TunePoint:
-    """The classic in-process measurement of one variant."""
+    """Launch one variant on fresh arguments and wrap the outcome."""
     try:
         result = launch_variant(
             variant,
@@ -697,35 +494,3 @@ def _measure_sequential(
         )
     return TunePoint(variant=variant, result=result)
 
-
-def _point_from_shard(
-    variant, grid, device, payload: Optional[dict]
-) -> TunePoint:
-    """Parent-side interpretation of one shard's payload, mapping each
-    failure seam to exactly the point the sequential loop would record."""
-    if payload is None:
-        return TunePoint(
-            variant=variant,
-            result=None,
-            error="worker shard failed (pool retries exhausted)",
-        )
-    if "task_error" in payload:
-        return TunePoint(
-            variant=variant, result=None, error=payload["task_error"]
-        )
-    if "raised" in payload:
-        return TunePoint(
-            variant=variant,
-            result=None,
-            error=payload["raised"],
-            fault=payload["fault"],
-        )
-    result = _rebuild_result(variant, grid, device, payload)
-    if result.error is not None:
-        return TunePoint(
-            variant=variant,
-            result=result,
-            error=result.error.summary(),
-            fault=result.error,
-        )
-    return TunePoint(variant=variant, result=result)

@@ -20,7 +20,6 @@ developer put in the pragma (§3.6).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -28,6 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ..gpusim.compile import kernel_digest
 from ..gpusim.device import DeviceSpec, GTX680
 from ..gpusim.diskcache import (
     DiskCacheStats,
@@ -100,7 +100,7 @@ class VariantCacheStats:
     hits: int = 0
     misses: int = 0
     size: int = 0
-    #: Process the counters belong to.  Forked workers inherit the parent's
+    #: Process the counters belong to.  Forked processes inherit the parent's
     #: cache through copy-on-write but must not inherit its hit/miss history
     #: as their own — see :func:`_check_variant_fork` (the same fix the
     #: compile cache got).
@@ -135,15 +135,13 @@ def _variant_cache_key(
 ) -> Optional[tuple]:
     """Cache key: source digest × block shape × NpConfig × device × options.
 
-    The pretty-printed source includes ``#define`` constants and pragmas, so
-    any change to the input kernel changes the digest.  ``None`` (uncached)
-    when the AST cannot be printed.
+    The digest is :func:`~repro.gpusim.compile.kernel_digest`, so any change
+    to the input kernel's source, ``#define`` constants or pragmas changes
+    it.  ``None`` (uncached) when the AST cannot be printed.
     """
-    try:
-        source = emit_kernel(kernel)
-    except Exception:
+    digest = kernel_digest(kernel)
+    if digest is None:
         return None
-    digest = hashlib.sha256(source.encode()).hexdigest()
     block = block_size if isinstance(block_size, tuple) else (int(block_size),)
     return (digest, tuple(int(b) for b in block), config, device, recombine_unrolled)
 
@@ -160,7 +158,7 @@ def _share_variant(variant: CompiledVariant) -> CompiledVariant:
 
 
 def variant_cache_stats() -> VariantCacheStats:
-    """Per-process variant-cache counters (honest under forked workers: a
+    """Per-process variant-cache counters (honest under forked processes: a
     child's counters restart at zero, ``pid`` says whose they are) plus the
     disk tier's ``variant``-namespace counters."""
     _check_variant_fork()
@@ -197,11 +195,11 @@ def _variant_disk_key(cache_key: tuple) -> dict:
 def _variant_from_disk(cache_key: tuple) -> Optional[CompiledVariant]:
     """Rehydrate a variant from the disk tier (None on miss/corruption).
 
-    The payload is the pickled :class:`CompiledVariant` — the same AST the
-    worker pool already ships over pipes — so the rehydrated variant emits
-    byte-identical source (and therefore the same compile digest) as the
-    one the transform pipeline produced; re-parsing the stored ``source``
-    text would instead inline the ``#define`` constants at lex time.
+    The payload is the pickled :class:`CompiledVariant`, AST included, so
+    the rehydrated variant emits byte-identical source (and therefore the
+    same compile digest) as the one the transform pipeline produced;
+    re-parsing the stored ``source`` text would instead inline the
+    ``#define`` constants at lex time.
     """
     disk = get_disk_cache()
     if disk is None:

@@ -11,9 +11,9 @@ bookkeeping that the fault diagnostics already maintain, which is what
 makes profiles bit-identical between ``interp`` and ``megablock``.
 
 Everything here is a plain dataclass over ints, so profiles pickle
-cleanly back from worker-pool tasks and merge exactly (integer sums are
-associative — a batched megablock run and a per-block run produce equal
-profiles, which the tests assert).
+cleanly and merge exactly (integer sums are associative — a batched
+megablock run and a per-block run produce equal profiles, which the tests
+assert).
 """
 
 from __future__ import annotations

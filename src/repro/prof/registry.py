@@ -9,10 +9,7 @@ fetch profiles by name after the run, or serialize the whole registry
 next to the numeric results.
 
 The registry is process-local module state, like the compile cache —
-``clear_registry()`` between independent runs, and note that profiles
-recorded inside forked pool *workers* never land here (a sharded
-autotune ships each worker's profile back on its launch result, which
-is what the parent records).
+``clear_registry()`` between independent runs.
 """
 
 from __future__ import annotations

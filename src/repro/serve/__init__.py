@@ -5,9 +5,9 @@ accepts kernel-source + named-buffer launch requests, dedupes parsing by
 source digest through both cache tiers, coalesces identical concurrent
 requests into one launch (fanning the result back to every waiter,
 bit-identical), runs each tenant's launches in FIFO order on its own
-stream, and sheds load with ``503`` + ``Retry-After`` while the circuit
-breaker is open.  See :mod:`repro.serve.protocol` for the wire schema
-and the README's "Serving" section for a walkthrough.
+stream, and sheds load with ``503`` + ``Retry-After`` past its in-flight
+cap.  See :mod:`repro.serve.protocol` for the wire schema and the
+README's "Serving" section for a walkthrough.
 """
 
 from .app import KernelServer

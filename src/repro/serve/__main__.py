@@ -4,16 +4,20 @@ Environment knobs (flags override):
 
 - ``GPUSIM_SERVE_PORT`` — listen port (default 8642);
 - ``GPUSIM_SERVE_MAX_INFLIGHT`` — admission cap on concurrently executing
-  requests (default 32; excess requests are shed with 503 + Retry-After);
+  requests (default 32, at least 1; excess requests are shed with 503 +
+  Retry-After);
 - ``GPUSIM_BACKEND`` — the engine of requests that name none: megablock
-  (default) or interp.  Any other value stops the server with a non-zero
-  exit before it binds its port.
+  (default) or interp.
+
+A bad setting (a non-integer port or cap, a port outside 0..65535, a cap
+below 1, an unknown backend) stops the server with exit code 2 before it
+binds its port, with a message that names the flag or variable.
 
 SIGTERM and SIGINT both trigger a graceful drain: stop accepting, finish
-in-flight launches, close every tenant stream, retire every pool worker.
-The process exits 0 only when the drain was clean — a SIGKILLed straggler
-worker makes the exit code 1, so "no orphaned workers" is checkable from
-the outside.
+in-flight launches, close every tenant stream.  The process exits 0 only
+when the drain was clean — a launch still running when the drain timeout
+expires makes the exit code 1, so a stuck stream is checkable from the
+outside.
 """
 
 from __future__ import annotations
@@ -31,6 +35,24 @@ DEFAULT_MAX_INFLIGHT = 32
 DRAIN_TIMEOUT_S = 30.0
 
 
+def _setting(parser, flag_value, flag, env, default) -> tuple[int, str]:
+    """``(value, source)``: the flag's value, else the environment
+    variable's, else ``default``; ``source`` names the flag or variable.
+
+    A non-integer variable exits 2 through ``parser.error``, naming it
+    (argparse already does the same for a non-integer flag).
+    """
+    if flag_value is not None:
+        return flag_value, flag
+    raw = os.environ.get(env)
+    if not raw:
+        return default, env
+    try:
+        return int(raw), env
+    except ValueError:
+        parser.error(f"{env} must be an integer, got {raw!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
@@ -38,33 +60,32 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
-        "--port", type=int,
-        default=int(os.environ.get("GPUSIM_SERVE_PORT") or DEFAULT_PORT),
+        "--port", type=int, default=None,
         help="listen port (default: $GPUSIM_SERVE_PORT or 8642)",
     )
     parser.add_argument(
-        "--max-inflight", type=int,
-        default=int(os.environ.get("GPUSIM_SERVE_MAX_INFLIGHT")
-                    or DEFAULT_MAX_INFLIGHT),
-        help="admission cap; excess requests get 503 + Retry-After "
-             "(default: $GPUSIM_SERVE_MAX_INFLIGHT or 32)",
+        "--max-inflight", type=int, default=None,
+        help="admission cap, at least 1; excess requests get 503 + "
+             "Retry-After (default: $GPUSIM_SERVE_MAX_INFLIGHT or 32)",
     )
     parser.add_argument(
         "--cache-dir", default=None,
         help="activate the persistent disk cache tier at this directory",
     )
-    parser.add_argument(
-        "--debug", action="store_true",
-        help="enable POST /debug/breaker (force-open/reset the breaker)",
-    )
     args = parser.parse_args(argv)
+    port, source = _setting(parser, args.port, "--port",
+                            "GPUSIM_SERVE_PORT", DEFAULT_PORT)
+    if not 0 <= port <= 65535:
+        parser.error(f"{source} must be in 0..65535, got {port}")
+    max_inflight, source = _setting(parser, args.max_inflight,
+                                    "--max-inflight",
+                                    "GPUSIM_SERVE_MAX_INFLIGHT",
+                                    DEFAULT_MAX_INFLIGHT)
+    if max_inflight < 1:
+        parser.error(f"{source} must be >= 1, got {max_inflight}")
 
     try:
-        server = KernelServer(
-            (args.host, args.port),
-            max_inflight=args.max_inflight,
-            debug=args.debug,
-        )
+        server = KernelServer((args.host, port), max_inflight=max_inflight)
     except ValueError as exc:  # a bad GPUSIM_BACKEND, raised before binding
         print(f"repro.serve: {exc}", file=sys.stderr, flush=True)
         return 2
@@ -94,8 +115,7 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGINT, _drain)
 
     print(f"repro.serve listening on http://{host}:{port} "
-          f"(max_inflight={args.max_inflight}"
-          f"{', debug' if args.debug else ''})", flush=True)
+          f"(max_inflight={max_inflight})", flush=True)
     try:
         server.serve_forever(poll_interval=0.2)
     finally:

@@ -7,23 +7,15 @@
   :mod:`repro.serve.protocol` for the JSON schema).  Identical concurrent
   requests are coalesced into one execution; each tenant's launches run
   in FIFO order on its own stream.
-- ``GET /healthz`` — liveness: breaker state, pool worker health,
-  in-flight count.
+- ``GET /healthz`` — liveness: uptime, in-flight count, counters.
 - ``GET /statz`` — the default engine and full counters: server,
-  per-tenant, batcher, kernel cache, disk cache, breaker.
-- ``POST /debug/breaker`` — (only with ``debug=True``) force the circuit
-  breaker open or reset it, so breaker-aware shedding is testable
-  without crashing real workers.
+  per-tenant, batcher, kernel cache, disk cache.
 
-Admission control happens before any simulator work:
-
-1. circuit breaker *open* → ``503`` with ``Retry-After`` (the worker
-   pool is known-unhealthy; shedding beats queueing);
-2. in-flight cap (``max_inflight``) reached → ``503`` with
-   ``Retry-After``;
-3. otherwise the request is admitted and carries its own
-   ``deadline_ms`` — expiry returns ``504`` without cancelling the
-   underlying launch (a coalesced sibling may still be waiting on it).
+Admission control happens before any simulator work: once the in-flight
+cap (``max_inflight``) is reached, requests are shed with ``503`` and
+``Retry-After``.  An admitted request carries its own ``deadline_ms``;
+expiry returns ``504`` without cancelling the underlying launch (a
+coalesced sibling may still be waiting on it).
 
 Faulting launches are *contained*, CUDA-style: the kernel runs with
 ``on_error="status"`` and a located fault comes back as ``422`` with the
@@ -38,9 +30,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from ..gpusim import pool as gpupool
 from ..gpusim.launch import default_backend
-from ..gpusim.resilience import get_breaker
 from ..prof.registry import record_profile
 from . import metrics
 from .batcher import CoalescingBatcher
@@ -67,14 +57,14 @@ class KernelServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, address, *, max_inflight: int = 32,
-                 debug: bool = False) -> None:
-        # A bad GPUSIM_BACKEND raises its ValueError here, before the
-        # socket binds, instead of failing every launch with a 500.
+    def __init__(self, address, *, max_inflight: int = 32) -> None:
+        # A bad GPUSIM_BACKEND or admission cap raises its ValueError here,
+        # before the socket binds, instead of failing every launch.
         default_backend()
+        if max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         super().__init__(address, ServeHandler)
         self.max_inflight = max_inflight
-        self.debug = debug
         self.counters = metrics.ServeCounters()
         self.batcher = CoalescingBatcher()
         self.tenants = TenantRegistry()
@@ -83,16 +73,18 @@ class KernelServer(ThreadingHTTPServer):
         self._admission = threading.BoundedSemaphore(max_inflight)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: stop accepting, drain streams, drain the pool.
+        """Graceful shutdown: stop accepting, then drain every tenant stream.
 
-        Returns True when every tenant stream and every pool worker wound
-        down cleanly within ``timeout`` — the server process should exit
-        non-zero otherwise, so orphaned workers are an observable failure.
+        ``timeout`` bounds the whole drain.  Returns True when every tenant
+        stream ran its queued launches and stopped within it; the server
+        process should exit non-zero otherwise, so a stuck launch is an
+        observable failure.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         self.shutdown()
-        streams_clean = self.tenants.close_all(timeout)
-        pool_clean = gpupool.drain_pool(timeout)
-        return streams_clean and pool_clean
+        return self.tenants.close_all(
+            None if deadline is None else max(deadline - time.monotonic(), 0.0)
+        )
 
 
 class ServeHandler(BaseHTTPRequestHandler):
@@ -139,18 +131,11 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:
         if self.path == "/healthz":
-            # Reading pool internals (not get_pool()) on purpose: a health
-            # probe must never be what spawns the worker pool.
-            workers = (
-                gpupool._POOL.health() if gpupool._POOL is not None else []
-            )
             self._send_json(200, {
                 "ok": True,
                 "uptime_s": round(time.monotonic() - self.server.started, 3),
-                "breaker": get_breaker().state,
                 "inflight": self.server.batcher.inflight(),
                 "max_inflight": self.server.max_inflight,
-                "workers": workers,
                 "counters": self.server.counters.snapshot(),
             })
         elif self.path == "/statz":
@@ -165,10 +150,6 @@ class ServeHandler(BaseHTTPRequestHandler):
                 "batcher": self.server.batcher.snapshot(),
                 "kernel_cache": self.server.kernel_cache.snapshot(),
                 "disk_cache": None if disk is None else str(disk.root),
-                "breaker": {
-                    "state": get_breaker().state,
-                    "trips": get_breaker().trips,
-                },
                 "events": [
                     {"ts": e.ts, "kind": e.kind, "tenant": e.tenant,
                      "key": e.key, "detail": e.detail}
@@ -178,37 +159,13 @@ class ServeHandler(BaseHTTPRequestHandler):
         else:
             self._send(404, error_body(f"unknown path {self.path!r}"))
 
-    # -- POST: launch + debug ------------------------------------------------
+    # -- POST: launch ---------------------------------------------------------
 
     def do_POST(self) -> None:
         if self.path == "/v1/launch":
             self._handle_launch()
-        elif self.path == "/debug/breaker":
-            self._handle_debug_breaker()
         else:
             self._send(404, error_body(f"unknown path {self.path!r}"))
-
-    def _handle_debug_breaker(self) -> None:
-        if not self.server.debug:
-            self._send(403, error_body(
-                "debug endpoints are disabled (start with --debug)"))
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            action = json.loads(body.decode()).get("action")
-        except (ValueError, AttributeError):
-            action = None
-        breaker = get_breaker()
-        if action == "open":
-            breaker.force_open("debug endpoint")
-        elif action == "reset":
-            breaker.reset()
-        else:
-            self._send(400, error_body('"action" must be "open" or "reset"'))
-            return
-        self._send_json(200, {"ok": True, "breaker": breaker.state})
 
     def _handle_launch(self) -> None:
         server = self.server
@@ -228,21 +185,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         metrics.record_event("arrive", tenant=req.tenant,
                              detail=f"{len(body)}B")
 
-        # Admission gate 1: known-unhealthy worker pool -> shed.
-        breaker = get_breaker()
-        if breaker.state == "open":
-            counters.bump("shed_breaker")
-            metrics.record_event("shed", tenant=req.tenant,
-                                 detail="breaker-open")
-            self._send(
-                503,
-                error_body("circuit breaker is open; retry shortly",
-                           kind="shed-breaker"),
-                {"Retry-After": str(RETRY_AFTER_S)},
-            )
-            return
-
-        # Admission gate 2: bounded concurrency.
+        # Admission: bounded concurrency.
         if not server._admission.acquire(blocking=False):
             counters.bump("shed_capacity")
             metrics.record_event("shed", tenant=req.tenant,

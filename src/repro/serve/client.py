@@ -119,6 +119,3 @@ class ServeClient:
 
     def stats(self) -> dict:
         return self._request("GET", "/statz")
-
-    def debug_breaker(self, action: str) -> dict:
-        return self._request("POST", "/debug/breaker", {"action": action})

@@ -75,7 +75,6 @@ class ServeCounters:
     completed: int = 0
     launches: int = 0
     coalesced: int = 0
-    shed_breaker: int = 0
     shed_capacity: int = 0
     timeouts: int = 0
     errors: int = 0
@@ -89,11 +88,13 @@ class ServeCounters:
 
     def snapshot(self) -> dict:
         with self._lock:
-            return {
+            snap = {
                 name: getattr(self, name)
                 for name in (
                     "requests", "admitted", "completed", "launches",
-                    "coalesced", "shed_breaker", "shed_capacity",
-                    "timeouts", "errors",
+                    "coalesced", "shed_capacity", "timeouts", "errors",
                 )
             }
+        # Always 0 (no breaker sheds); perfbench/wl_serve.py reads the key.
+        snap["shed_breaker"] = 0
+        return snap

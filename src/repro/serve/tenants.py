@@ -10,6 +10,7 @@ lazily on first request and all drained together at shutdown.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -75,18 +76,21 @@ class TenantRegistry:
     def close_all(self, timeout: Optional[float] = None) -> bool:
         """Drain and close every tenant stream; True when all drained clean.
 
-        New tenants are refused from the first call onward, so shutdown
-        cannot race an arriving request into a stream that will never be
-        drained.
+        ``timeout`` is one budget for all streams together, so this returns
+        within it; False means some stream's worker was still busy at the
+        deadline (it finishes its queued launches on its own).  New tenants
+        are refused from the first call onward, so shutdown cannot race an
+        arriving request into a stream that will never be drained.
         """
         with self._lock:
             self._closed = True
             states = list(self._tenants.values())
+        deadline = None if timeout is None else time.monotonic() + timeout
         clean = True
         for state in states:
-            try:
-                state.stream.synchronize(timeout)
-            except TimeoutError:
-                clean = False
-            state.stream.close()
+            remaining = (
+                None if deadline is None
+                else max(deadline - time.monotonic(), 0.0)
+            )
+            clean = state.stream.close(remaining) and clean
         return clean

@@ -27,7 +27,7 @@ import numpy as np
 from ..gpusim.device import DeviceSpec, GTX680
 from ..gpusim.diagnostics import FaultReport
 from ..gpusim.errors import SimError
-from ..gpusim.faults import SIM_FAULT_KINDS, FaultInjector
+from ..gpusim.faults import FAULT_KINDS, FaultInjector
 from ..gpusim.launch import Dim, LaunchResult, launch
 from ..gpusim.racecheck import SanitizerFinding
 from ..minicuda.errors import MiniCudaError
@@ -328,7 +328,7 @@ def cross_validate_faults(
     make_args: ArgsFactory,
     config: NpConfig,
     *,
-    kinds: Sequence[str] = SIM_FAULT_KINDS,
+    kinds: Sequence[str] = FAULT_KINDS,
     device: DeviceSpec = GTX680,
     const_arrays: Optional[Mapping[str, np.ndarray]] = None,
     seed: int = 0,

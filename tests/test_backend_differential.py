@@ -262,12 +262,15 @@ class TestMegablockFallbacks:
         )
         assert_identical(ref, result, "faults fallback")
 
-    def test_worker_only_faults_do_not_force_fallback(self):
-        """Pool-level faults need no interpreter hooks, so they do not block
-        batching; only the worker pool consults them."""
-        injector = FaultInjector([FaultSpec(kind="worker_slow", delay=0.0)])
-        result = self._run(faults=injector)
-        assert result.megablock_fallback is None
+    def test_any_injector_falls_back(self):
+        """Every fault kind needs an interpreter hook, so even an injector
+        with nothing planted runs per block."""
+        result = self._run(faults=FaultInjector())
+        assert result.megablock_fallback == "faults"
+        assert_identical(
+            run_kernel(_SIMPLE, 4, 32, _simple_args(), backend="interp"),
+            result, "empty injector fallback",
+        )
 
     @pytest.mark.parametrize("flag", ["racecheck", "initcheck"])
     def test_sanitizer(self, flag):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.resources import estimate_resources
-from repro.gpusim import pool as gpupool
 from repro.gpusim.compile import (
     clear_compile_cache,
     compile_cache_stats,
@@ -459,7 +458,7 @@ class TestCacheForkAccounting:
         compile_megablock(parse_kernel(SRC_A))
         assert compile_cache_stats().pid == os.getpid()
 
-    @pytest.mark.skipif(not gpupool.available(), reason="needs POSIX fork")
+    @pytest.mark.needs_fork
     def test_forked_child_counters_restart(self):
         """A forked worker inherits the cache *contents* (its lookups really
         hit) but must not inherit the parent's hit/miss history as its own."""

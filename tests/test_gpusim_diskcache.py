@@ -7,7 +7,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.gpusim import pool as gpupool
 from repro.gpusim.diskcache import (
     DEFAULT_MAX_ENTRIES,
     FORMAT_VERSION,
@@ -291,7 +290,7 @@ def _warm_probe(payload):
     return stats.hits, stats.misses, os.getpid()
 
 
-@pytest.mark.skipif(not gpupool.available(), reason="needs POSIX fork")
+@pytest.mark.needs_fork
 class TestCrossProcess:
     def test_child_process_warm_hit(self, tmp_path):
         """An entry stored by this process is a disk hit in a fresh one —

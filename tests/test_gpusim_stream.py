@@ -16,6 +16,10 @@ These pin the three stream bugs fixed alongside the serve layer:
    now carry the stream name and queue position, and ``exception()``
    follows ``concurrent.futures`` semantics (returns the launch's
    exception, never raises it).
+
+They also pin the async-launch basics: a future's result equals the
+synchronous launch's, one stream runs FIFO, ``synchronize`` drains, and
+``close(timeout)`` returns within its timeout.
 """
 
 import threading
@@ -25,7 +29,8 @@ import numpy as np
 import pytest
 
 from repro.gpusim.errors import LaunchError, SimError
-from repro.gpusim.stream import Event, Stream
+from repro.gpusim.launch import run_kernel
+from repro.gpusim.stream import Event, Stream, default_stream, launch_async
 from repro.minicuda.parser import parse_kernel
 
 INC = parse_kernel(
@@ -62,6 +67,45 @@ def _block_stream(stream: Stream) -> Event:
     gate._stream_name = stream.name
     stream._enqueue(("wait", gate))
     return gate
+
+
+class TestStreams:
+    def test_future_result_matches_sync(self):
+        sync = run_kernel(INC, 2, 32, _args())
+        future = launch_async(INC, 2, 32, _args())
+        res = future.result(timeout=120)
+        assert future.done()
+        assert future.exception() is None
+        assert res.buffer("x").tobytes() == sync.buffer("x").tobytes()
+        assert res.stats == sync.stats
+
+    def test_stream_fifo_order(self):
+        with Stream() as stream:
+            futures = [stream.launch_async(INC, 2, 32, _args())
+                       for _ in range(3)]
+            last = futures[-1].result(timeout=120)
+            # One worker, FIFO: when the last launch is done, so is every
+            # earlier one.
+            assert all(f.done() for f in futures)
+        assert [f.position for f in futures] == [1, 2, 3]
+        ref = run_kernel(INC, 2, 32, _args())
+        for res in [f.result(timeout=0) for f in futures[:-1]] + [last]:
+            assert res.buffer("x").tobytes() == ref.buffer("x").tobytes()
+            assert res.stats == ref.stats
+
+    def test_synchronize_drains_everything(self):
+        stream = Stream()
+        futures = [stream.launch_async(INC, 2, 32, _args()) for _ in range(3)]
+        stream.synchronize(timeout=120)
+        assert all(f.done() for f in futures)
+        stream.close()
+
+    def test_default_stream_recreated_after_close(self):
+        first = default_stream()
+        first.close()
+        second = default_stream()
+        assert second is not first
+        assert launch_async(INC, 2, 32, _args()).result(timeout=120).ok
 
 
 class TestSynchronizeDeadline:
@@ -241,6 +285,22 @@ class TestCloseRace:
                 )
                 exc = future.exception(timeout=0)
                 assert exc is None or isinstance(exc, (LaunchError, SimError))
+
+    def test_close_timeout_leaves_queued_launches_to_the_worker(self):
+        """close(timeout) returns False while the worker is busy; the
+        launch still queued then runs on it, with a real result."""
+        stream = Stream(name="slow-close")
+        gate = _block_stream(stream)
+        future = stream.launch_async(INC, 2, 32, _args())
+        try:
+            t0 = time.monotonic()
+            assert stream.close(timeout=0.2) is False
+            assert time.monotonic() - t0 < 2.0
+            assert not future.done()
+        finally:
+            gate._fired.set()
+        assert future.result(timeout=5.0).ok
+        assert stream.close(timeout=5.0) is True
 
     def test_enqueue_after_close_raises(self):
         stream = Stream(name="shut")

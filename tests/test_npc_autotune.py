@@ -111,88 +111,6 @@ def test_launch_variant_auto_allocates_scratch():
     assert res.kernel_name.endswith("_np")
 
 
-# -- sharded search ----------------------------------------------------------
-
-needs_fork = pytest.mark.skipif(
-    not __import__("repro.gpusim.pool", fromlist=["available"]).available(),
-    reason="needs POSIX fork",
-)
-
-
-@needs_fork
-class TestShardedAutotune:
-    def _bench(self):
-        return TmvBenchmark(width=128, height=128, block=32)
-
-    def _configs(self):
-        return [
-            NpConfig(slave_size=2, np_type="inter"),
-            NpConfig(slave_size=4, np_type="inter"),
-            NpConfig(slave_size=4, np_type="intra", use_shfl=True, padded=True),
-            NpConfig(slave_size=8, np_type="intra", use_shfl=True, padded=True),
-        ]
-
-    def test_parallel_matches_sequential(self):
-        """The acceptance gate: sharding changes wall-clock, nothing else."""
-        bench = self._bench()
-        seq = bench.autotune(configs=self._configs())
-        par = bench.autotune(configs=self._configs(), parallel=2)
-        assert par.resilience is not None  # the pool really ran
-        assert par.resilience.degraded is None
-        assert [p.label for p in par.points] == [p.label for p in seq.points]
-        for a, b in zip(seq.points, par.points):
-            assert a.ok == b.ok
-            assert a.error == b.error
-            assert a.output_ok == b.output_ok
-            if a.ok:
-                assert a.seconds == b.seconds  # modeled clock: bit-identical
-        assert par.best.label == seq.best.label
-        assert par.best_speedup == seq.best_speedup
-
-    def test_parallel_buffers_match_sequential(self):
-        """Rebuilt shard results carry the same final buffer bytes."""
-        bench = self._bench()
-        seq = bench.autotune(configs=self._configs()[:2])
-        par = bench.autotune(configs=self._configs()[:2], parallel=2)
-        for a, b in zip(seq.points, par.points):
-            for name, buf in a.result.gmem.buffers().items():
-                np.testing.assert_array_equal(
-                    buf.data, b.result.gmem.buffers()[name].data
-                )
-
-    def test_crashed_shard_disqualified_not_wrong(self):
-        """A worker crashing past the retry budget costs one point, never
-        the search — and never a wrong answer."""
-        from repro.gpusim.faults import FaultInjector, FaultSpec
-        from repro.gpusim.resilience import ResilienceConfig
-
-        bench = self._bench()
-        inj = FaultInjector([FaultSpec(kind="worker_crash", block=1, count=10)])
-        assert inj.worker_only()
-        rep = bench.autotune(
-            configs=self._configs(),
-            parallel=2,
-            faults=inj,
-            resilience=ResilienceConfig(max_retries=1),
-        )
-        assert len(rep.points) == 4
-        dead = [p for p in rep.points if not p.ok]
-        assert len(dead) == 1
-        assert "worker shard failed" in dead[0].error
-        # The other three shards are untouched and the best is among them.
-        seq = bench.autotune(configs=self._configs())
-        assert rep.best.seconds == min(
-            p.seconds for p in seq.points if p.label != dead[0].label
-        )
-
-    def test_sequential_env_never_shards(self, monkeypatch):
-        """Only an explicit parallel= arg shards; the pool's env knobs
-        never do."""
-        monkeypatch.setenv("GPUSIM_MAX_RETRIES", "4")
-        rep = self._bench().autotune(configs=self._configs()[:2])
-        assert rep.resilience is None
-
-
 class TestOutcomeReuse:
     def test_warm_reuse_restores_points(self, tmp_path, monkeypatch):
         from repro.gpusim import diskcache

@@ -266,15 +266,13 @@ class TestVariantCacheForkAccounting:
         compile_np(parse_kernel(TMV), 32, NpConfig(slave_size=4, np_type="inter"))
         assert variant_cache_stats().pid == os.getpid()
 
+    @pytest.mark.needs_fork
     def test_forked_child_counters_restart(self):
         import multiprocessing
         import os
 
-        from repro.gpusim import pool as gpupool
         from repro.npc.pipeline import variant_cache_stats
 
-        if not gpupool.available():
-            pytest.skip("needs POSIX fork")
         cfg = NpConfig(slave_size=4, np_type="inter")
         compile_np(parse_kernel(TMV), 32, cfg)
         compile_np(parse_kernel(TMV), 32, cfg)

@@ -22,7 +22,7 @@ better than one that does not fire.
 import numpy as np
 import pytest
 
-from repro.gpusim.faults import SIM_FAULT_KINDS, FaultInjector
+from repro.gpusim.faults import FAULT_KINDS, FaultInjector
 from repro.gpusim.launch import run_kernel
 from repro.npc.config import NpConfig
 from repro.testing.oracle import EXPECTED_DETECTION, cross_validate_faults
@@ -75,10 +75,7 @@ def smem_args():
 
 class TestExpectedDetectionMap:
     def test_covers_every_fault_kind(self):
-        # Worker-level kinds (worker_crash/hang/slow) are process
-        # faults validated by the resilience chaos suite, not the
-        # in-simulator detection channels mapped here.
-        assert set(EXPECTED_DETECTION) == set(SIM_FAULT_KINDS)
+        assert set(EXPECTED_DETECTION) == set(FAULT_KINDS)
 
     def test_channels_are_known(self):
         assert set(EXPECTED_DETECTION.values()) <= {"fault", "differential", "stats"}
@@ -90,7 +87,7 @@ class TestCrossValidation:
     def test_every_kind_detected_inter(self):
         # shfl_lane is excluded here: inter-warp variants contain no __shfl
         # (see test_shfl_lane_never_fires_inter below).
-        kinds = [k for k in SIM_FAULT_KINDS if k != "shfl_lane"]
+        kinds = [k for k in FAULT_KINDS if k != "shfl_lane"]
         probes = cross_validate_faults(
             DOTS, MASTERS, GRID, dots_args, INTER, kinds=kinds
         )
@@ -222,7 +219,7 @@ class TestCrossValidationIntraFull:
     """Heavier sweep: the full kind set against the intra-warp variant."""
 
     def test_all_kinds_intra(self):
-        kinds = [k for k in SIM_FAULT_KINDS]
+        kinds = list(FAULT_KINDS)
         probes = cross_validate_faults(
             DOTS, MASTERS, GRID, dots_args, INTRA, kinds=kinds
         )

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpusim.resilience import get_breaker, reset_breaker
 from repro.gpusim.stream import Event, Stream
 from repro.kernels import BENCHMARKS
 from repro.minicuda.parser import parse_kernel
@@ -55,13 +54,12 @@ def _payload(n=256, a=2.0, tenant="t"):
 
 @pytest.fixture
 def server():
-    srv = KernelServer(("127.0.0.1", 0), max_inflight=8, debug=True)
+    srv = KernelServer(("127.0.0.1", 0), max_inflight=8)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
     srv.drain(10.0)
     srv.server_close()
-    reset_breaker()
     # The event deque is process-global; don't leak this server's serve
     # row into later tests' Chrome-trace exports.
     clear_serve_events()
@@ -269,6 +267,15 @@ class TestBatcherCoalescing:
             stream.close()
 
 
+def _park(stream: Stream) -> Event:
+    """Park ``stream``'s worker on an event that has not fired yet; set the
+    returned event's ``_fired`` to release it."""
+    gate = Event(name="gate")
+    gate._stream_name = stream.name
+    stream._enqueue(("wait", gate))
+    return gate
+
+
 def _wire_payload(n=256, a=2.0, tenant="t"):
     x = np.arange(n, dtype=np.float32)
     y = np.ones(n, dtype=np.float32)
@@ -374,24 +381,6 @@ class TestServerHTTP:
         assert window_launches + window_coalesced == 3
         assert window_coalesced >= 1, "no request coalesced"
 
-    def test_breaker_open_sheds_with_retry_after(self, client):
-        get_breaker().force_open("test")
-        try:
-            with pytest.raises(ServeError) as excinfo:
-                client.launch(SAXPY, 4, 64, _payload()["args"])
-            assert excinfo.value.status == 503
-            assert excinfo.value.retry_after is not None
-            assert excinfo.value.body["kind"] == "shed-breaker"
-        finally:
-            reset_breaker()
-        # Closed again: requests flow.
-        assert client.launch(SAXPY, 4, 64, _payload()["args"])["ok"]
-
-    def test_debug_breaker_endpoint(self, client):
-        assert client.debug_breaker("open")["breaker"] == "open"
-        assert client.health()["breaker"] == "open"
-        assert client.debug_breaker("reset")["breaker"] == "closed"
-
     def test_capacity_shed(self, server, client):
         """With the admission semaphore exhausted, requests shed 503."""
         for _ in range(server.max_inflight):
@@ -410,10 +399,7 @@ class TestServerHTTP:
     def test_deadline_expiry_504(self, server, client):
         """Park the tenant's stream so its launch cannot run; the request's
         own deadline must surface as 504 without wedging the server."""
-        tenant = server.tenants.get("slowpoke")
-        gate = Event(name="gate")
-        gate._stream_name = tenant.stream.name
-        tenant.stream._enqueue(("wait", gate))
+        gate = _park(server.tenants.get("slowpoke").stream)
         try:
             with pytest.raises(ServeError) as excinfo:
                 client.launch(SAXPY, 4, 64, _payload()["args"],
@@ -452,12 +438,12 @@ class TestServerHTTP:
     def test_healthz_and_statz_shape(self, client):
         client.launch(SAXPY, 4, 64, _payload()["args"], tenant="alice")
         health = client.health()
-        assert health["ok"] and health["breaker"] in ("closed", "open",
-                                                      "half-open")
-        assert {"inflight", "max_inflight", "workers",
-                "counters"} <= set(health)
+        assert health["ok"]
+        assert {"inflight", "max_inflight", "counters"} <= set(health)
         stats = client.stats()
         assert stats["counters"]["completed"] >= 1
+        # Kept at 0 for readers of the old counter set (perfbench).
+        assert stats["counters"]["shed_breaker"] == 0
         assert "alice" in stats["tenants"]
         assert stats["tenants"]["alice"]["stream"] == "tenant-alice"
         assert stats["batcher"]["launches"] >= 1
@@ -495,6 +481,27 @@ class TestServerHTTP:
         with pytest.raises(RuntimeError, match="draining|closed"):
             server.tenants.get("latecomer")
 
+    def test_drain_finishes_within_timeout(self, server):
+        """Two parked tenant streams share one drain deadline: drain(0.5)
+        reports False promptly instead of waiting for either worker."""
+        gates = [_park(server.tenants.get(name).stream)
+                 for name in ("stuck-a", "stuck-b")]
+        verdict = []
+        drainer = threading.Thread(
+            target=lambda: verdict.append(server.drain(0.5)), daemon=True
+        )
+        try:
+            t0 = time.monotonic()
+            drainer.start()
+            drainer.join(timeout=5.0)
+            elapsed = time.monotonic() - t0
+            assert not drainer.is_alive(), "drain(0.5) blocked past 5 s"
+            assert verdict == [False]
+            assert elapsed < 2.0
+        finally:
+            for gate in gates:
+                gate._fired.set()
+
 
 def _wire_args_n(n):
     x = np.arange(n, dtype=np.float32)
@@ -503,13 +510,14 @@ def _wire_args_n(n):
 
 
 class TestStartupBackendCheck:
-    """A bad ``GPUSIM_BACKEND`` stops a :class:`KernelServer` before it
-    binds its port, instead of answering every launch with a 500."""
+    """A bad ``GPUSIM_BACKEND``, admission cap or port stops a
+    :class:`KernelServer` before it binds its port, instead of answering
+    every launch with a 500 or 503."""
 
     @staticmethod
     def _forbid_bind(monkeypatch):
         def no_bind(self):
-            raise AssertionError("server bound a port despite a bad backend")
+            raise AssertionError("server bound a port despite a bad setting")
 
         monkeypatch.setattr(KernelServer, "server_bind", no_bind)
 
@@ -534,6 +542,39 @@ class TestStartupBackendCheck:
             match="GPUSIM_BACKEND must be 'megablock' or 'interp', got 'bogus'",
         ):
             KernelServer(("127.0.0.1", 0))
+
+    @pytest.mark.parametrize("argv, env, named", [
+        pytest.param(["--max-inflight", "0"], {}, "--max-inflight",
+                     id="flag-cap-0"),
+        pytest.param(["--max-inflight", "-1"], {}, "--max-inflight",
+                     id="flag-cap-negative"),
+        pytest.param([], {"GPUSIM_SERVE_MAX_INFLIGHT": "0"},
+                     "GPUSIM_SERVE_MAX_INFLIGHT", id="env-cap-0"),
+        pytest.param([], {"GPUSIM_SERVE_MAX_INFLIGHT": "abc"},
+                     "GPUSIM_SERVE_MAX_INFLIGHT", id="env-cap-not-int"),
+        pytest.param([], {"GPUSIM_SERVE_PORT": "abc"}, "GPUSIM_SERVE_PORT",
+                     id="env-port-not-int"),
+    ])
+    def test_bad_cap_or_port_exits_before_binding(
+        self, argv, env, named, monkeypatch, capsys
+    ):
+        from repro.serve import __main__ as serve_main
+
+        for name in ("GPUSIM_SERVE_PORT", "GPUSIM_SERVE_MAX_INFLIGHT"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        self._forbid_bind(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main.main(argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_in_process_server_rejects_bad_cap(self, cap, monkeypatch):
+        self._forbid_bind(monkeypatch)
+        with pytest.raises(ValueError, match="max_inflight must be >= 1"):
+            KernelServer(("127.0.0.1", 0), max_inflight=cap)
 
 
 class TestKernelCacheDedupe:
