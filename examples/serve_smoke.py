@@ -1,7 +1,7 @@
 """End-to-end smoke test for the multi-tenant kernel server.
 
 Exercises the real deployment surface — a ``python -m repro.serve``
-subprocess, not an in-process server object — and asserts the three
+subprocess, not an in-process server object — and asserts the four
 contracts the serve layer advertises:
 
 1. **Bit-identity**: a served launch, on the server's default engine,
@@ -11,7 +11,12 @@ contracts the serve layer advertises:
 2. **Coalescing**: concurrent byte-identical requests from three tenants
    merge into one launch; the server's own counters prove it
    (``launches + coalesced == completed`` and ``coalesced >= 1``).
-3. **Clean drain**: SIGTERM stops the listener, finishes in-flight work,
+3. **Keep-alive latency**: back-to-back launches of a small kernel over
+   one persistent connection have a median round trip under 20 ms, well
+   below the ~40 ms a delayed ACK would add (the server sets
+   TCP_NODELAY), and every response carries a ``Server-Timing`` header.  ``ServeClient`` opens a
+   fresh connection per request, so only this check sees that stall.
+4. **Clean drain**: SIGTERM stops the listener, finishes in-flight work,
    drains the tenant streams, and the process exits 0 (the server's own
    claim that the drain was clean).
 
@@ -22,9 +27,12 @@ Run:  PYTHONPATH=src python examples/serve_smoke.py
 """
 
 import concurrent.futures
+import http.client
+import json
 import os
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -35,10 +43,21 @@ import numpy as np
 from repro.bench import _serve_verify, _wire_args
 from repro.kernels import BENCHMARKS
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.protocol import encode_array
 
 STARTUP_TIMEOUT_S = 30.0
 DRAIN_TIMEOUT_S = 60.0
 TENANTS = 3
+KEEP_ALIVE_LAUNCHES = 10
+#: A delayed ACK holds a response back for about 40 ms; a small launch
+#: itself takes a few.
+KEEP_ALIVE_MEDIAN_MS = 20.0
+SCALE = """
+__global__ void scale(float* x, float a, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) x[i] = a * x[i];
+}
+"""
 
 
 def free_port() -> int:
@@ -64,7 +83,7 @@ def check_bit_identity(client: ServeClient) -> None:
     verified = _serve_verify(client, tuple(BENCHMARKS))
     bad = [name for name, ok in verified.items() if not ok]
     assert not bad, f"served buffers differ from direct interp launch(): {bad}"
-    print(f"[1/3] bit-identity vs direct interp launch(): "
+    print(f"[1/4] bit-identity vs direct interp launch(): "
           f"all {len(verified)} benchmarks OK")
 
 
@@ -128,9 +147,44 @@ def check_coalescing(client: ServeClient, url: str) -> None:
     after = client.stats()["counters"]
     assert after["coalesced"] == before["coalesced"], (
         "perturbed payload coalesced with a duplicate")
-    print(f"[2/3] coalescing: {coalesced} of {TENANTS} concurrent duplicates "
+    print(f"[2/4] coalescing: {coalesced} of {TENANTS} concurrent duplicates "
           f"rode one launch; fan-out bit-identical; distinct payload did not "
           f"coalesce")
+
+
+def check_keep_alive(port: int) -> None:
+    n = 256
+    body = json.dumps({
+        "tenant": "smoke-keep-alive", "kernel": SCALE, "grid": 4, "block": 64,
+        "args": {"x": encode_array(np.arange(n, dtype=np.float32)),
+                 "a": 2.0, "n": n},
+    }).encode()
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    round_trips = []
+    try:
+        # One unmeasured launch parses the source and starts the stream.
+        for i in range(KEEP_ALIVE_LAUNCHES + 1):
+            t0 = time.perf_counter()
+            conn.request("POST", "/v1/launch", body,
+                         {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            reply = json.loads(resp.read())
+            elapsed_ms = (time.perf_counter() - t0) * 1e3
+            assert resp.status == 200 and reply["ok"], (resp.status, reply)
+            timing = resp.getheader("Server-Timing")
+            assert timing and "total;dur=" in timing, (
+                f"response {i} has no Server-Timing header")
+            if i:
+                round_trips.append(elapsed_ms)
+    finally:
+        conn.close()
+    median = statistics.median(round_trips)
+    assert median < KEEP_ALIVE_MEDIAN_MS, (
+        f"keep-alive round trip median {median:.1f} ms "
+        f"(limit {KEEP_ALIVE_MEDIAN_MS} ms): responses wait on delayed ACKs")
+    print(f"[3/4] keep-alive: {KEEP_ALIVE_LAUNCHES} launches over one "
+          f"connection, median round trip {median:.1f} ms; every response "
+          f"carries Server-Timing")
 
 
 def check_sigterm_drain(client: ServeClient, proc: subprocess.Popen) -> None:
@@ -144,7 +198,7 @@ def check_sigterm_drain(client: ServeClient, proc: subprocess.Popen) -> None:
     proc.send_signal(signal.SIGTERM)
     rc = proc.wait(timeout=DRAIN_TIMEOUT_S)
     assert rc == 0, f"server exited {rc} (unclean drain)"
-    print("[3/3] SIGTERM drain: exit 0 (clean drain)")
+    print("[4/4] SIGTERM drain: exit 0 (clean drain)")
 
 
 def main() -> int:
@@ -161,6 +215,7 @@ def main() -> int:
         wait_ready(client, proc)
         check_bit_identity(client)
         check_coalescing(client, url)
+        check_keep_alive(port)
         check_sigterm_drain(client, proc)
     finally:
         if proc.poll() is None:

@@ -10,8 +10,9 @@ trajectory.
 interpreter and on the megablock backend (compile caches warmed first, so
 the once-per-source lowering cost is excluded and recorded separately as
 ``compile_ms``), and writes ``BENCH_gpusim.json``.  Timings are
-best-of-``repeats`` wall-clock; ``speedup_megablock`` is interp/megablock
-per kernel, plus geometric means.
+best-of-``repeats`` wall-clock, the two engines' launches alternating;
+``speedup_megablock`` is interp/megablock per kernel, plus geometric
+means.
 """
 
 from __future__ import annotations
@@ -36,26 +37,29 @@ DEFAULT_KERNELS = tuple(BENCHMARKS)
 QUICK_KERNELS = ("CFD", "MC")
 
 
-def _time_launch(bench, repeats: int, **kwargs) -> tuple[float, object]:
-    """Best-of-``repeats`` wall-clock seconds for one launch configuration.
+def _time_engines(bench, repeats: int) -> tuple[dict, object]:
+    """Best-of-``repeats`` wall-clock seconds per engine, engines alternating.
 
-    The collector is paused while the clock runs: a GC pause landing inside
-    one backend's window but not another's would skew the per-kernel ratios
-    far more than any real engine change.
+    Each repeat launches interp and then megablock back to back, so a host
+    slowdown lands in both engines' samples rather than in one engine's
+    whole window, where it would move ``speedup_megablock``.  The collector
+    is paused while the clock runs: a GC pause landing inside one backend's
+    window but not another's would skew the per-kernel ratios far more than
+    any real engine change.  Returns the best seconds per engine and the
+    last megablock result.
     """
-    best = float("inf")
+    best = {"interp": float("inf"), "megablock": float("inf")}
     result = None
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = bench.run_baseline(**kwargs)
-            elapsed = time.perf_counter() - t0
-            if elapsed < best:
-                best = elapsed
-            gc.collect()
+            for backend in best:
+                t0 = time.perf_counter()
+                result = bench.run_baseline(backend=backend)
+                best[backend] = min(best[backend], time.perf_counter() - t0)
+                gc.collect()
     finally:
         if was_enabled:
             gc.enable()
@@ -149,8 +153,8 @@ def bench_kernel(name: str, repeats: int = 3, profile: bool = False) -> dict:
                 backend=backend,
             )
 
-    interp_s, _ = _time_launch(bench, repeats, backend="interp")
-    mega_s, mega_result = _time_launch(bench, repeats, backend="megablock")
+    best, mega_result = _time_engines(bench, repeats)
+    interp_s, mega_s = best["interp"], best["megablock"]
     return {
         "grid": mega_result.grid,
         "block": mega_result.block,

@@ -20,6 +20,11 @@ coalesced sibling may still be waiting on it).
 Faulting launches are *contained*, CUDA-style: the kernel runs with
 ``on_error="status"`` and a located fault comes back as ``422`` with the
 full :class:`~repro.gpusim.diagnostics.FaultReport` summary in the body.
+
+Every ``/v1/launch`` response carries a ``Server-Timing`` header with the
+server's own milliseconds per phase (``decode``, ``launch``, ``encode``
+and ``total``), so a client can tell time spent in the server from time
+spent on the wire.
 """
 
 from __future__ import annotations
@@ -71,6 +76,18 @@ class KernelServer(ThreadingHTTPServer):
         self.kernel_cache = KernelCache()
         self.started = time.monotonic()
         self._admission = threading.BoundedSemaphore(max_inflight)
+        # Whether serve_forever ran, and whether a drain began: shutdown()
+        # waits for a loop to exit, so it must not run without one.
+        self._loop_lock = threading.Lock()
+        self._loop_started = False
+        self._drained = False
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        with self._loop_lock:
+            if self._drained:
+                return
+            self._loop_started = True
+        super().serve_forever(poll_interval)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Graceful shutdown: stop accepting, then drain every tenant stream.
@@ -81,7 +98,11 @@ class KernelServer(ThreadingHTTPServer):
         observable failure.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        self.shutdown()
+        with self._loop_lock:
+            self._drained = True
+            loop_started = self._loop_started
+        if loop_started:
+            self.shutdown()
         return self.tenants.close_all(
             None if deadline is None else max(deadline - time.monotonic(), 0.0)
         )
@@ -90,6 +111,13 @@ class KernelServer(ThreadingHTTPServer):
 class ServeHandler(BaseHTTPRequestHandler):
     server: KernelServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every connection: a response goes out as two writes
+    # (headers, then body), and with Nagle's algorithm on, a keep-alive
+    # client's delayed ACK held the body back for about 40 ms.
+    disable_nagle_algorithm = True
+    # Phase -> ms of the /v1/launch request being answered (None
+    # otherwise); _send reports it as the Server-Timing header and clears it.
+    _phases: Optional[dict] = None
 
     # Quiet by default: per-request stderr lines are noise under load.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -104,6 +132,11 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
+        if self._phases is not None:
+            self._phases["total"] = _ms_since(self._started)
+            self.send_header("Server-Timing", ", ".join(
+                f"{name};dur={ms:.3f}" for name, ms in self._phases.items()))
+            self._phases = None
         self.end_headers()
         try:
             self.wfile.write(body)
@@ -119,11 +152,21 @@ class ServeHandler(BaseHTTPRequestHandler):
         if length is None:
             self._send(411, error_body("Content-Length is required"))
             return None
+        # The body is left unread below, so the connection closes: its
+        # bytes must not be parsed as the next request.
+        length = length.strip()
+        if not (length.isascii() and length.isdigit()):
+            self._send(400, error_body(
+                f"Content-Length must be a non-negative decimal integer, "
+                f"got {length!r}", kind="protocol"),
+                {"Connection": "close"})
+            return None
         length = int(length)
         if length > MAX_BODY_BYTES:
             self._send(413, error_body(
                 f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"))
+                f"{MAX_BODY_BYTES}-byte limit"),
+                {"Connection": "close"})
             return None
         return self.rfile.read(length)
 
@@ -168,6 +211,8 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._send(404, error_body(f"unknown path {self.path!r}"))
 
     def _handle_launch(self) -> None:
+        self._started = time.perf_counter()
+        self._phases = {}
         server = self.server
         counters = server.counters
         counters.bump("requests")
@@ -182,6 +227,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             counters.bump("errors")
             self._send(400, error_body(str(exc), kind="protocol"))
             return
+        self._phases["decode"] = _ms_since(self._started)
         metrics.record_event("arrive", tenant=req.tenant,
                              detail=f"{len(body)}B")
 
@@ -232,6 +278,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             if req.deadline_ms is not None else None
         )
 
+        started = time.perf_counter()
         try:
             result, coalesced = server.batcher.submit(
                 req, key, tenant.stream, kernel, launch_kwargs,
@@ -248,6 +295,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._send(500, error_body(f"{type(exc).__name__}: {exc}"))
             return
 
+        self._phases["launch"] = _ms_since(started)
         tenant.bump("coalesced" if coalesced else "launches")
         counters.bump("coalesced" if coalesced else "launches")
 
@@ -257,8 +305,11 @@ class ServeHandler(BaseHTTPRequestHandler):
             record_profile(profile_name, result.profile,
                            tenant=req.tenant, key=key[:16])
 
-        body = encode_result(result, key=key, coalesced=coalesced,
-                             profile_name=profile_name)
+        started = time.perf_counter()
+        body = json.dumps(encode_result(
+            result, key=key, coalesced=coalesced,
+            profile_name=profile_name)).encode()
+        self._phases["encode"] = _ms_since(started)
         counters.bump("completed")
         metrics.record_event(
             "complete", tenant=req.tenant, key=key,
@@ -267,6 +318,10 @@ class ServeHandler(BaseHTTPRequestHandler):
         if result.error is not None:
             counters.bump("errors")
             tenant.bump("errors")
-            self._send_json(422, body)
+            self._send(422, body)
         else:
-            self._send_json(200, body)
+            self._send(200, body)
+
+
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1e3

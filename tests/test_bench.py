@@ -10,6 +10,7 @@ import pytest
 from repro.bench import (
     QUICK_KERNELS,
     _compile_split,
+    _time_engines,
     bench_kernel,
     compare_reports,
     main,
@@ -44,6 +45,23 @@ def test_bench_kernel_record():
     assert rec["megablock_megawarp"] in (True, False, None)
     if rec["megablock_fallback"] is None:
         assert rec["megablock_megawarp"] is not None
+
+
+def test_engines_alternate_within_repeats():
+    """Each repeat times interp and then megablock, so host drift reaches
+    both engines' samples; the best of each engine comes back."""
+    calls = []
+
+    class Recorder:
+        def run_baseline(self, backend):
+            calls.append(backend)
+            return backend
+
+    best, result = _time_engines(Recorder(), repeats=3)
+    assert calls == ["interp", "megablock"] * 3
+    assert set(best) == {"interp", "megablock"}
+    assert all(0 <= seconds < 1 for seconds in best.values())
+    assert result == "megablock"
 
 
 @pytest.mark.parametrize("name", list(BENCHMARKS))

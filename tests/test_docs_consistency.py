@@ -216,6 +216,7 @@ class TestReadme:
             assert code in section, code
             assert code in app_src, code
         assert "Retry-After" in section and "Retry-After" in app_src
+        assert "Server-Timing" in section and "Server-Timing" in app_src
         # The README's serve module entry point and bench flags exist.
         assert "python -m repro.serve" in readme
         from repro import bench

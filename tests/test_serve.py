@@ -1,7 +1,10 @@
 """Kernel-server tests: protocol, coalescing, admission control, drain."""
 
 import base64
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 
@@ -23,6 +26,7 @@ from repro.serve import (
     encode_array,
     parse_request,
 )
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.batcher import CoalescingBatcher
 
 SAXPY = """
@@ -501,6 +505,111 @@ class TestServerHTTP:
         finally:
             for gate in gates:
                 gate._fired.set()
+
+    def test_drain_without_serve_forever_returns(self):
+        """A server whose loop never started has nothing to shut down:
+        drain() must not wait for serve_forever to exit."""
+        srv = KernelServer(("127.0.0.1", 0))
+        verdict = []
+        drainer = threading.Thread(
+            target=lambda: verdict.append(srv.drain(0.5)), daemon=True
+        )
+        try:
+            t0 = time.monotonic()
+            drainer.start()
+            drainer.join(timeout=3.0)
+            elapsed = time.monotonic() - t0
+            assert not drainer.is_alive(), "drain(0.5) blocked past 3 s"
+            assert verdict == [True]
+            assert elapsed < 2.0
+            # The drain closed the tenant registry all the same, and a
+            # loop started after it returns at once.
+            with pytest.raises(RuntimeError, match="draining|closed"):
+                srv.tenants.get("latecomer")
+            loop = threading.Thread(target=srv.serve_forever, daemon=True)
+            loop.start()
+            loop.join(timeout=3.0)
+            assert not loop.is_alive(), "serve_forever ran after a drain"
+        finally:
+            srv.server_close()
+
+    @pytest.mark.parametrize("length, status, kind", [
+        ("abc", 400, "protocol"),
+        ("-5", 400, "protocol"),
+        ("1e3", 400, "protocol"),
+        (str(MAX_BODY_BYTES + 1), 413, "error"),
+    ])
+    def test_bad_content_length_refused(self, server, client, length,
+                                        status, kind):
+        """A Content-Length that is not a non-negative decimal integer is
+        answered 400 (one past the cap, 413) and counted as an error, not
+        a dropped connection."""
+        before = client.stats()["counters"]
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=10.0) as sock:
+            sock.sendall(
+                b"POST /v1/launch HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}")
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            body = json.loads(resp.read())
+        assert resp.status == status
+        assert body["kind"] == kind
+        # The unread body must not be parsed as a next request.
+        assert resp.getheader("Connection") == "close"
+        # A refused launch still reports the server time it took.
+        assert resp.getheader("Server-Timing").startswith("total;dur=")
+        after = client.stats()["counters"]
+        assert after["requests"] - before["requests"] == 1
+        assert after["errors"] - before["errors"] == 1
+
+
+class TestKeepAlive:
+    """Responses on a persistent connection leave without waiting for the
+    client's delayed ACK (the server sets TCP_NODELAY)."""
+
+    @staticmethod
+    def _round_trips(server, count):
+        body = json.dumps(_wire_payload()).encode()
+        conn = http.client.HTTPConnection(*server.server_address[:2],
+                                          timeout=30.0)
+        out = []
+        try:
+            for _ in range(count):
+                t0 = time.perf_counter()
+                conn.request("POST", "/v1/launch", body,
+                             {"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                payload = json.loads(resp.read())
+                out.append(((time.perf_counter() - t0) * 1e3, resp, payload))
+        finally:
+            conn.close()
+        return out
+
+    def test_back_to_back_launches_do_not_stall(self, server):
+        # One unmeasured request first: the kernel cache and the tenant
+        # stream start cold.
+        trips = self._round_trips(server, 13)[1:]
+        assert all(resp.status == 200 and payload["ok"]
+                   for _, resp, payload in trips)
+        median = statistics.median(ms for ms, _, _ in trips)
+        assert median < 20.0, f"keep-alive round trip median {median:.1f} ms"
+
+    def test_server_timing_header(self, server):
+        for round_trip, resp, _ in self._round_trips(server, 3):
+            header = resp.getheader("Server-Timing")
+            assert header is not None
+            phases = {}
+            for entry in header.split(","):
+                name, dur = entry.strip().split(";")
+                assert dur.startswith("dur=")
+                phases[name] = float(dur[len("dur="):])
+            assert list(phases) == ["decode", "launch", "encode", "total"]
+            assert all(ms >= 0.0 for ms in phases.values()), phases
+            assert phases["total"] >= (phases["decode"] + phases["launch"]
+                                       + phases["encode"])
+            assert phases["total"] <= round_trip
 
 
 def _wire_args_n(n):
