@@ -1,7 +1,7 @@
 """End-to-end smoke test for the multi-tenant kernel server.
 
 Exercises the real deployment surface — a ``python -m repro.serve``
-subprocess, not an in-process server object — and asserts the four
+subprocess, not an in-process server object — and asserts the five
 contracts the serve layer advertises:
 
 1. **Bit-identity**: a served launch, on the server's default engine,
@@ -16,9 +16,14 @@ contracts the serve layer advertises:
    below the ~40 ms a delayed ACK would add (the server sets
    TCP_NODELAY), and every response carries a ``Server-Timing`` header.  ``ServeClient`` opens a
    fresh connection per request, so only this check sees that stall.
-4. **Clean drain**: SIGTERM stops the listener, finishes in-flight work,
-   drains the tenant streams, and the process exits 0 (the server's own
-   claim that the drain was clean).
+4. **A deadline cancels its launch**: a kernel that never terminates,
+   sent with ``deadline_ms: 500``, is answered ``504``, and its worker is
+   killed and replaced, so a normal launch on the same tenant then
+   returns ``200`` within 5 s.
+5. **Clean drain**: SIGTERM stops the listener, finishes in-flight work,
+   drains the tenant streams and stops the launch workers; the process
+   exits 0 (the server's own claim that the drain was clean), and no
+   worker pid that ``/statz`` listed is still alive.
 
 Load shedding (``503`` + ``Retry-After`` past the in-flight cap) is
 covered over real HTTP by ``tests/test_serve.py``.
@@ -58,6 +63,16 @@ __global__ void scale(float* x, float a, int n) {
     if (i < n) x[i] = a * x[i];
 }
 """
+SPIN = """
+__global__ void spin(float* x, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    while (n > 0) { x[i] += 1.0f; }
+}
+"""
+#: The spinning launch's deadline, and how soon after its 504 the same
+#: tenant's next launch must be answered.
+SPIN_DEADLINE_MS = 500
+FREED_WITHIN_S = 5.0
 
 
 def free_port() -> int:
@@ -83,7 +98,7 @@ def check_bit_identity(client: ServeClient) -> None:
     verified = _serve_verify(client, tuple(BENCHMARKS))
     bad = [name for name, ok in verified.items() if not ok]
     assert not bad, f"served buffers differ from direct interp launch(): {bad}"
-    print(f"[1/4] bit-identity vs direct interp launch(): "
+    print(f"[1/5] bit-identity vs direct interp launch(): "
           f"all {len(verified)} benchmarks OK")
 
 
@@ -147,7 +162,7 @@ def check_coalescing(client: ServeClient, url: str) -> None:
     after = client.stats()["counters"]
     assert after["coalesced"] == before["coalesced"], (
         "perturbed payload coalesced with a duplicate")
-    print(f"[2/4] coalescing: {coalesced} of {TENANTS} concurrent duplicates "
+    print(f"[2/5] coalescing: {coalesced} of {TENANTS} concurrent duplicates "
           f"rode one launch; fan-out bit-identical; distinct payload did not "
           f"coalesce")
 
@@ -182,23 +197,69 @@ def check_keep_alive(port: int) -> None:
     assert median < KEEP_ALIVE_MEDIAN_MS, (
         f"keep-alive round trip median {median:.1f} ms "
         f"(limit {KEEP_ALIVE_MEDIAN_MS} ms): responses wait on delayed ACKs")
-    print(f"[3/4] keep-alive: {KEEP_ALIVE_LAUNCHES} launches over one "
+    print(f"[3/5] keep-alive: {KEEP_ALIVE_LAUNCHES} launches over one "
           f"connection, median round trip {median:.1f} ms; every response "
           f"carries Server-Timing")
 
 
-def check_sigterm_drain(client: ServeClient, proc: subprocess.Popen) -> None:
+def worker_pids(client: ServeClient) -> set:
+    return {worker["pid"] for worker in client.stats()["workers"]}
+
+
+def check_deadline_cancels(client: ServeClient) -> set:
+    """Returns every worker pid /statz listed along the way."""
+    pids = worker_pids(client)
+    t0 = time.perf_counter()
+    try:
+        client.launch(SPIN, 1, 32, {"x": np.zeros(32, dtype=np.float32),
+                                    "n": 1},
+                      tenant="smoke-spin", deadline_ms=SPIN_DEADLINE_MS)
+    except ServeError as exc:
+        assert exc.status == 504, (exc.status, exc.body)
+    else:
+        raise AssertionError("a kernel that never terminates returned")
+    waited_ms = (time.perf_counter() - t0) * 1e3
+
+    t0 = time.perf_counter()
+    reply = client.launch(SCALE, 1, 32, {"x": np.ones(32, dtype=np.float32),
+                                         "a": 2.0, "n": 32},
+                          tenant="smoke-spin")
+    freed_s = time.perf_counter() - t0
+    assert reply["ok"] and freed_s < FREED_WITHIN_S, (
+        f"the tenant's next launch took {freed_s:.1f} s after the 504")
+    pids |= worker_pids(client)
+    print(f"[4/5] deadline: spinning launch answered 504 after "
+          f"{waited_ms:.0f} ms; the same tenant's next launch returned 200 "
+          f"in {freed_s * 1e3:.0f} ms")
+    return pids
+
+
+def check_sigterm_drain(client: ServeClient, proc: subprocess.Popen,
+                        pids: set) -> None:
     bench = BENCHMARKS["MC"]()
     # One more launch so the drain has a tenant stream to wind down.
     client.launch(
         bench.source, bench.grid, bench.block_size, _wire_args(bench),
         const_arrays=bench.const_arrays(), tenant="smoke-drain",
     )
+    pids |= worker_pids(client)
 
     proc.send_signal(signal.SIGTERM)
     rc = proc.wait(timeout=DRAIN_TIMEOUT_S)
     assert rc == 0, f"server exited {rc} (unclean drain)"
-    print("[4/4] SIGTERM drain: exit 0 (clean drain)")
+    alive = sorted(pid for pid in pids if is_alive(pid))
+    assert not alive, f"launch workers outlived the drain: {alive}"
+    print(f"[5/5] SIGTERM drain: exit 0 (clean drain); none of the "
+          f"{len(pids)} worker pids /statz listed is alive")
+
+
+def is_alive(pid: int) -> bool:
+    """Running, not merely a zombie awaiting its reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def main() -> int:
@@ -216,7 +277,8 @@ def main() -> int:
         check_bit_identity(client)
         check_coalescing(client, url)
         check_keep_alive(port)
-        check_sigterm_drain(client, proc)
+        pids = check_deadline_cancels(client)
+        check_sigterm_drain(client, proc, pids)
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -507,6 +507,12 @@ def run_serve_bench(
         # duplicates rendezvoused).
         "server": window,
         "batcher": stats_after["batcher"],
+        # VmHWM of the server process (this process, when the server runs
+        # in-process) and of each launch worker, which runs the launches.
+        "peak_rss_mb": {
+            "server": stats_after["server"]["peak_rss_mb"],
+            "workers": [w["peak_rss_mb"] for w in stats_after["workers"]],
+        },
     }
 
 
@@ -541,6 +547,8 @@ def format_serve_report(report: dict) -> str:
         f"shed={window.get('shed_capacity', 0)}",
         f"engine: default {report['default_backend']}, responses by "
         f"backend {report['backends']}",
+        f"peak RSS MB: server {report['peak_rss_mb']['server']}, "
+        f"workers {report['peak_rss_mb']['workers']}",
         "bit-identity vs direct launch(): "
         + ("ALL OK" if not bad else f"MISMATCH in {bad}"),
     ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -133,6 +134,10 @@ class LaunchResult:
     #: ``racecheck=True`` / ``initcheck=True`` (None otherwise).  Present
     #: even on a failed launch: findings before the fault are retained.
     sanitizer: Optional[SanitizerReport] = None
+    #: Host wall-clock milliseconds the ``launch()`` call took, in the
+    #: process that ran it (the simulation's cost, not the modeled GPU
+    #: time in :attr:`timing`).
+    wall_ms: Optional[float] = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -250,6 +255,7 @@ def launch(
     disk entries shared across processes — see :mod:`repro.gpusim.diskcache`.
     The setting is sticky for the process; pass it once.
     """
+    started = time.perf_counter()
     if cache_dir is not None:
         from . import diskcache
 
@@ -464,7 +470,7 @@ def launch(
         if on_error == "raise":
             raise
         report = FaultReport.from_exception(exc, kernel=kernel.name)
-        return LaunchResult(
+        result = LaunchResult(
             kernel_name=kernel.name,
             grid=grid3,
             block=block3,
@@ -484,6 +490,8 @@ def launch(
             error=report,
             sanitizer=sanitizer.report() if sanitizer is not None else None,
         )
+        result.wall_ms = (time.perf_counter() - started) * 1e3
+        return result
 
     timing_stats = stats
     if executed < total_blocks:
@@ -508,7 +516,7 @@ def launch(
         device, timing_stats, occupancy, usage, total_warps=total_warps
     )
 
-    return LaunchResult(
+    result = LaunchResult(
         kernel_name=kernel.name,
         grid=grid3,
         block=block3,
@@ -527,6 +535,8 @@ def launch(
         profile=prof_obj,
         sanitizer=sanitizer.report() if sanitizer is not None else None,
     )
+    result.wall_ms = (time.perf_counter() - started) * 1e3
+    return result
 
 
 def run_kernel(

@@ -29,7 +29,13 @@ any future that could not run (a racing enqueue that lost to ``close()``)
 is fulfilled with a located :class:`~repro.gpusim.errors.LaunchError`
 instead of leaving ``result()`` to block forever.
 
-Each launch runs whole on its stream's worker thread, in this process.
+A stream hands each launch whole to its *runner*: :func:`launch`, in this
+process, unless the stream was built with another function of the same
+signature.  The kernel server's streams run launches on forked worker
+processes (:mod:`repro.serve.workers`), which is what makes a running
+launch stoppable: ``future.cancel()`` skips a queued launch, and a runner
+that registered a stop function (``LaunchFuture.set_stop``) for the
+launch it is running has that function called.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .errors import LaunchError
 from .launch import LaunchResult, launch
@@ -62,18 +68,60 @@ class LaunchFuture:
         self._event = threading.Event()
         self._result: Optional[LaunchResult] = None
         self._exception: Optional[BaseException] = None
+        # Guards fulfilment, cancellation and the stop function, so a
+        # cancel and a finishing launch cannot both settle the future.
+        self._lock = threading.Lock()
+        self._stop: Optional[Callable[[], None]] = None
 
     def _where(self) -> str:
         return f"stream {self._stream.name!r} queue position {self.position}"
 
     def _fulfill(self, result: Optional[LaunchResult],
                  exception: Optional[BaseException]) -> None:
-        self._result = result
-        self._exception = exception
-        self._event.set()
+        """Settle the future; the first outcome wins (a cancel may have
+        settled it while the launch was still running)."""
+        with self._lock:
+            if self._event.is_set():
+                return
+            self._result = result
+            self._exception = exception
+            self._event.set()
 
     def done(self) -> bool:
         return self._event.is_set()
+
+    def cancel(self) -> bool:
+        """Cancel the launch; True unless it had already completed.
+
+        The future fails at once with a located
+        :class:`~repro.gpusim.errors.LaunchError`.  A queued launch is
+        skipped when the stream reaches it.  A running launch is stopped
+        when its runner registered a stop function (:meth:`set_stop`); an
+        in-process :func:`launch` cannot be stopped, so it runs to its end
+        on the stream and its result is dropped.
+        """
+        with self._lock:
+            if self._event.is_set():
+                return False
+            if self._stop is not None:
+                self._stop()
+            self._result = None
+            self._exception = LaunchError(
+                f"launch on {self._where()} was cancelled")
+            self._event.set()
+        return True
+
+    def set_stop(self, stop: Optional[Callable[[], None]]) -> bool:
+        """Register how :meth:`cancel` stops this running launch (None
+        unregisters).  Returns False, registering nothing, once the launch
+        was cancelled: a runner checks it before it starts the launch and
+        again after, to learn whether ``stop`` ran.  ``stop`` runs under
+        the future's lock, so it must be quick and must not block."""
+        with self._lock:
+            if self._event.is_set():
+                return False
+            self._stop = stop
+            return True
 
     def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
         """Wait for completion and return the launch's exception (or None).
@@ -161,17 +209,24 @@ class Stream:
     """A FIFO queue of launches executed by one dedicated worker thread.
 
     Launches enqueued on the same stream never overlap and complete in
-    enqueue order; launches on different streams are independent.
+    enqueue order; launches on different streams are independent.  The
+    thread calls ``runner`` with each launch's arguments: :func:`launch`
+    by default, or any function with its signature and return type.
     """
 
     _counter = 0
     _counter_lock = threading.Lock()
 
-    def __init__(self, name: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        name: Optional[str] = None,
+        runner: Callable[..., LaunchResult] = launch,
+    ) -> None:
         with Stream._counter_lock:
             Stream._counter += 1
             ident = Stream._counter
         self.name = name if name is not None else f"stream-{ident}"
+        self._runner = runner
         self._queue: "queue.Queue" = queue.Queue()
         self._pending: List[LaunchFuture] = []
         self._lock = threading.Lock()
@@ -202,11 +257,15 @@ class Stream:
                 item[1]._fired.wait()
                 continue
             _, future, args, kwargs = item
+            _current.future = future
             try:
-                future._fulfill(launch(*args, **kwargs), None)
+                # A launch cancelled while queued is already settled.
+                if not future.done():
+                    future._fulfill(self._runner(*args, **kwargs), None)
             except BaseException as exc:  # re-raised from future.result()
                 future._fulfill(None, exc)
             finally:
+                _current.future = None
                 with self._lock:
                     if future in self._pending:
                         self._pending.remove(future)
@@ -318,6 +377,15 @@ class Stream:
 
 _DEFAULT_STREAM: Optional[Stream] = None
 _DEFAULT_LOCK = threading.Lock()
+#: Per stream thread: the future of the launch its runner is running.
+_current = threading.local()
+
+
+def running_future() -> Optional[LaunchFuture]:
+    """The future of the launch the calling stream thread is running, or
+    None on any other thread.  A runner uses it to make that launch
+    stoppable (:meth:`LaunchFuture.set_stop`)."""
+    return getattr(_current, "future", None)
 
 
 def default_stream() -> Stream:

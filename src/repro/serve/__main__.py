@@ -14,10 +14,11 @@ below 1, an unknown backend) stops the server with exit code 2 before it
 binds its port, with a message that names the flag or variable.
 
 SIGTERM and SIGINT both trigger a graceful drain: stop accepting, finish
-in-flight launches, close every tenant stream.  The process exits 0 only
-when the drain was clean — a launch still running when the drain timeout
-expires makes the exit code 1, so a stuck stream is checkable from the
-outside.
+in-flight launches, close every tenant stream, stop the launch workers.
+The process exits 0 only when the drain was clean — a launch still
+running when the drain timeout expires makes the exit code 1, so a stuck
+stream is checkable from the outside; its worker is killed all the same,
+so no process outlives the server.
 """
 
 from __future__ import annotations
@@ -84,17 +85,18 @@ def main(argv=None) -> int:
     if max_inflight < 1:
         parser.error(f"{source} must be >= 1, got {max_inflight}")
 
+    if args.cache_dir:
+        from ..gpusim import diskcache
+
+        # Before the server forks its launch workers, so they use it too.
+        diskcache.configure(args.cache_dir)
+
     try:
         server = KernelServer((args.host, port), max_inflight=max_inflight)
     except ValueError as exc:  # a bad GPUSIM_BACKEND, raised before binding
         print(f"repro.serve: {exc}", file=sys.stderr, flush=True)
         return 2
     host, port = server.server_address[:2]
-
-    if args.cache_dir:
-        from ..gpusim import diskcache
-
-        diskcache.configure(args.cache_dir)
 
     drained = {}
     drain_started = threading.Event()
@@ -122,14 +124,15 @@ def main(argv=None) -> int:
         if not drain_started.is_set():
             drain_started.set()
             drained["clean"] = server.drain(DRAIN_TIMEOUT_S)
-        server.server_close()
 
     # serve_forever returned => a drain ran (signal) or is running; wait
-    # for its verdict before choosing the exit code.
+    # for its verdict before choosing the exit code, and only then close
+    # the server, which kills any launch worker still running.
     for _ in range(int(DRAIN_TIMEOUT_S * 10)):
         if "clean" in drained:
             break
         threading.Event().wait(0.1)
+    server.server_close()
     clean = drained.get("clean", False)
     print(f"repro.serve drained {'cleanly' if clean else 'UNCLEAN'}",
           flush=True)

@@ -6,36 +6,47 @@
 - ``POST /v1/launch`` — simulate one kernel launch (see
   :mod:`repro.serve.protocol` for the JSON schema).  Identical concurrent
   requests are coalesced into one execution; each tenant's launches run
-  in FIFO order on its own stream.
+  in FIFO order on its own stream, and every launch runs on one of the
+  server's forked launch workers (:mod:`repro.serve.workers`), one per
+  CPU the server may use.
 - ``GET /healthz`` — liveness: uptime, in-flight count, counters.
 - ``GET /statz`` — the default engine and full counters: server,
-  per-tenant, batcher, kernel cache, disk cache.
+  per-tenant, batcher, kernel cache, disk cache, and the peak RSS and
+  CPU time of the server process and of each launch worker.
 
 Admission control happens before any simulator work: once the in-flight
 cap (``max_inflight``) is reached, requests are shed with ``503`` and
-``Retry-After``.  An admitted request carries its own ``deadline_ms``;
-expiry returns ``504`` without cancelling the underlying launch (a
-coalesced sibling may still be waiting on it).
+``Retry-After``.  Kernel source that does not parse is answered ``400``
+before anything is queued.  An admitted request carries its own
+``deadline_ms``; expiry returns ``504``.  When the last request waiting
+on a launch (coalesced siblings included) gives up, the launch is
+cancelled: skipped if still queued, its worker killed and replaced if
+running, so the tenant's stream is free again.
 
 Faulting launches are *contained*, CUDA-style: the kernel runs with
 ``on_error="status"`` and a located fault comes back as ``422`` with the
 full :class:`~repro.gpusim.diagnostics.FaultReport` summary in the body.
+A worker that dies answers ``500`` naming its pid and signal.
 
 Every ``/v1/launch`` response carries a ``Server-Timing`` header with the
-server's own milliseconds per phase (``decode``, ``launch``, ``encode``
-and ``total``), so a client can tell time spent in the server from time
-spent on the wire.
+server's own milliseconds per phase (``decode``, ``launch``, ``execute``,
+``encode`` and ``total``), so a client can tell time spent in the server
+from time spent on the wire.  ``execute`` is the worker's own time in
+``launch()``, so ``launch`` − ``execute`` is the wait for the tenant
+stream, a free worker and the pipe.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from ..gpusim.launch import default_backend
+from ..minicuda.errors import MiniCudaError
 from ..prof.registry import record_profile
 from . import metrics
 from .batcher import CoalescingBatcher
@@ -48,6 +59,7 @@ from .protocol import (
     parse_request,
 )
 from .tenants import TenantRegistry
+from .workers import KernelSource, LaunchWorkers, process_usage
 
 #: Default seconds clients are told to back off when the server sheds.
 RETRY_AFTER_S = 1
@@ -68,11 +80,20 @@ class KernelServer(ThreadingHTTPServer):
         default_backend()
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        super().__init__(address, ServeHandler)
+        # Fork the launch workers before the socket binds and before any
+        # server thread exists.
+        self.workers = LaunchWorkers()
+        try:
+            super().__init__(address, ServeHandler)
+        except BaseException:
+            self.workers.close()
+            raise
         self.max_inflight = max_inflight
         self.counters = metrics.ServeCounters()
         self.batcher = CoalescingBatcher()
-        self.tenants = TenantRegistry()
+        self.tenants = TenantRegistry(runner=self.workers.run)
+        # Parses each source once in the server too, so source that does
+        # not parse is refused before it is queued.
         self.kernel_cache = KernelCache()
         self.started = time.monotonic()
         self._admission = threading.BoundedSemaphore(max_inflight)
@@ -90,12 +111,14 @@ class KernelServer(ThreadingHTTPServer):
         super().serve_forever(poll_interval)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: stop accepting, then drain every tenant stream.
+        """Graceful shutdown: stop accepting, drain every tenant stream,
+        then stop the launch workers.
 
-        ``timeout`` bounds the whole drain.  Returns True when every tenant
-        stream ran its queued launches and stopped within it; the server
-        process should exit non-zero otherwise, so a stuck launch is an
-        observable failure.
+        ``timeout`` bounds the stream drain.  Returns True when every
+        tenant stream ran its queued launches and stopped within it; the
+        server process should exit non-zero otherwise, so a stuck launch
+        is an observable failure.  Either way no worker outlives the
+        drain: one still running a launch is killed.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._loop_lock:
@@ -103,9 +126,17 @@ class KernelServer(ThreadingHTTPServer):
             loop_started = self._loop_started
         if loop_started:
             self.shutdown()
-        return self.tenants.close_all(
+        clean = self.tenants.close_all(
             None if deadline is None else max(deadline - time.monotonic(), 0.0)
         )
+        self.workers.close()
+        return clean
+
+    def server_close(self) -> None:
+        """Close the listening socket and stop the launch workers (a
+        drain, if one ran, already stopped them)."""
+        super().server_close()
+        self.workers.close()
 
 
 class ServeHandler(BaseHTTPRequestHandler):
@@ -193,6 +224,8 @@ class ServeHandler(BaseHTTPRequestHandler):
                 "batcher": self.server.batcher.snapshot(),
                 "kernel_cache": self.server.kernel_cache.snapshot(),
                 "disk_cache": None if disk is None else str(disk.root),
+                "server": dict(pid=os.getpid(), **process_usage(os.getpid())),
+                "workers": self.server.workers.snapshot(),
                 "events": [
                     {"ts": e.ts, "kind": e.kind, "tenant": e.tenant,
                      "key": e.key, "detail": e.detail}
@@ -259,6 +292,14 @@ class ServeHandler(BaseHTTPRequestHandler):
         metrics.record_event("admit", tenant=req.tenant, key=key)
 
         try:
+            server.kernel_cache.get(req.source_digest, req.source)
+        except MiniCudaError as exc:
+            counters.bump("errors")
+            self._send(400, error_body(f"{type(exc).__name__}: {exc}",
+                                       kind="protocol"))
+            return
+
+        try:
             tenant = server.tenants.get(req.tenant)
         except RuntimeError as exc:  # registry closed: draining
             counters.bump("errors")
@@ -267,10 +308,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             return
         tenant.bump("requests")
 
-        kernel = server.kernel_cache.get(req.source_digest, req.source)
         launch_kwargs = {}
-        if req.backend is not None:
-            launch_kwargs["backend"] = req.backend
         if req.profile:
             launch_kwargs["profile"] = True
         deadline = (
@@ -280,8 +318,12 @@ class ServeHandler(BaseHTTPRequestHandler):
 
         started = time.perf_counter()
         try:
+            # The engine is resolved here, per request: a worker's
+            # environment is the server's as it stood at the fork.
+            launch_kwargs["backend"] = req.backend or default_backend()
             result, coalesced = server.batcher.submit(
-                req, key, tenant.stream, kernel, launch_kwargs,
+                req, key, tenant.stream,
+                KernelSource(req.source_digest, req.source), launch_kwargs,
                 deadline=deadline,
             )
         except TimeoutError as exc:
@@ -296,6 +338,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             return
 
         self._phases["launch"] = _ms_since(started)
+        self._phases["execute"] = result.wall_ms
         tenant.bump("coalesced" if coalesced else "launches")
         counters.bump("coalesced" if coalesced else "launches")
 

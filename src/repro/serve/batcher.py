@@ -12,10 +12,14 @@ The fan-out is built on the stream layer's cross-stream
 :class:`~repro.gpusim.stream.Event`: the leader enqueues its launch on
 its tenant stream and records an event immediately behind it, so stream
 FIFO order guarantees the future is fulfilled by the time the event
-fires.  Followers block on ``event.synchronize`` under their own
-per-request deadlines — a slow follower deadline never cancels the
-leader's launch, and a follower arriving after completion simply becomes
-the next leader (the entry is retired once its event has fired).
+fires.  Every waiter, leader or follower, blocks on ``event.synchronize``
+under its own per-request deadline.  A waiter whose deadline passes
+leaves the launch to the others; when the last one gives up, the launch
+is cancelled (``LaunchFuture.cancel``: skipped if still queued, stopped if
+its runner can stop it), and a later identical request starts a fresh
+launch instead of joining the abandoned one.  A request arriving after
+completion simply becomes the next leader (the entry is retired once its
+event has fired).
 
 This is *request* coalescing — deduplicating identical work across
 tenants — and is orthogonal to megablock *batching*, which vectorizes
@@ -38,7 +42,7 @@ from .protocol import LaunchRequest
 class _Inflight:
     """One in-flight coalesced launch: the leader's future + fan-out event."""
 
-    __slots__ = ("key", "tenant", "future", "event", "followers", "retired")
+    __slots__ = ("key", "tenant", "future", "event", "waiters", "abandoned")
 
     def __init__(self, key: str, tenant: str, future: LaunchFuture,
                  event: Event) -> None:
@@ -46,8 +50,11 @@ class _Inflight:
         self.tenant = tenant
         self.future = future
         self.event = event
-        self.followers = 0
-        self.retired = False
+        #: Requests still waiting on the launch (timed-out ones leave).
+        self.waiters = 1
+        #: Every waiter gave up and the launch was cancelled: no request
+        #: joins it, and it leaves the map once its event fires.
+        self.abandoned = False
 
 
 class CoalescingBatcher:
@@ -61,6 +68,7 @@ class CoalescingBatcher:
 
     def inflight(self) -> int:
         with self._lock:
+            self._prune()
             return len(self._inflight)
 
     def submit(
@@ -74,14 +82,19 @@ class CoalescingBatcher:
     ) -> Tuple[LaunchResult, bool]:
         """Run (or join) the launch identified by ``key``.
 
-        ``deadline`` is an absolute ``time.monotonic`` instant; expiry
-        raises :class:`TimeoutError`.  Returns the launch result and
-        whether this request was coalesced onto another tenant's launch.
+        ``kernel`` is what the stream's runner launches: a parsed kernel
+        for :func:`~repro.gpusim.launch.launch`, a
+        :class:`~repro.serve.workers.KernelSource` for the server's launch
+        workers.  ``deadline`` is an absolute ``time.monotonic`` instant;
+        expiry raises :class:`TimeoutError`, and the last waiter to expire
+        cancels the launch.  Returns the launch result and whether this
+        request was coalesced onto another tenant's launch.
         """
         with self._lock:
+            self._prune()
             entry = self._inflight.get(key)
-            if entry is not None:
-                entry.followers += 1
+            if entry is not None and not entry.abandoned:
+                entry.waiters += 1
                 self.coalesced += 1
                 coalesced = True
             else:
@@ -113,6 +126,8 @@ class CoalescingBatcher:
         try:
             entry.event.synchronize(timeout)
         except TimeoutError:
+            if self._give_up(entry):
+                entry.future.cancel()
             raise TimeoutError(
                 f"launch {key[:12]} (leader tenant {entry.tenant!r}) did not "
                 f"complete within the request deadline"
@@ -120,8 +135,8 @@ class CoalescingBatcher:
         finally:
             # Whoever notices the event first retires the entry; later
             # identical requests then start a fresh launch instead of
-            # reading retired state.  A timed-out waiter leaves a live
-            # entry in place — it IS still in flight.
+            # reading retired state.  A timed-out waiter leaves the entry
+            # in place until its stream passes the event.
             if entry.event.query():
                 self._retire(entry)
 
@@ -131,14 +146,30 @@ class CoalescingBatcher:
             raise exc
         return entry.future.result(timeout=0), coalesced
 
+    def _give_up(self, entry: _Inflight) -> bool:
+        """A waiter's deadline passed; True when it was the last waiter of
+        a launch still running, which the caller must then cancel."""
+        with self._lock:
+            entry.waiters -= 1
+            if entry.waiters or entry.event.query():
+                return False
+            entry.abandoned = True
+            return True
+
     def _retire(self, entry: _Inflight) -> None:
         with self._lock:
-            if not entry.retired:
-                entry.retired = True
-                self._inflight.pop(entry.key, None)
+            if self._inflight.get(entry.key) is entry:
+                del self._inflight[entry.key]
+
+    def _prune(self) -> None:
+        """Drop abandoned entries whose stream passed the event (lock held)."""
+        for key, entry in list(self._inflight.items()):
+            if entry.abandoned and entry.event.query():
+                del self._inflight[key]
 
     def snapshot(self) -> dict:
         with self._lock:
+            self._prune()
             return {
                 "inflight": len(self._inflight),
                 "launches": self.launches,

@@ -3,8 +3,10 @@
 Each tenant the server has seen owns a :class:`~repro.gpusim.stream.Stream`
 named ``tenant-<name>``, so its launches retain CUDA's per-stream FIFO
 ordering while different tenants proceed concurrently — the serve-layer
-analogue of one CUDA stream per client process.  Streams are created
-lazily on first request and all drained together at shutdown.
+analogue of one CUDA stream per client process.  Every stream runs its
+launches through the registry's runner (the server's launch workers).
+Streams are created lazily on first request and all drained together at
+shutdown.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
+from ..gpusim.launch import LaunchResult
 from ..gpusim.stream import Stream
 
 
@@ -47,9 +50,11 @@ class TenantState:
 
 
 class TenantRegistry:
-    """Lazily-populated map of tenant name → :class:`TenantState`."""
+    """Lazily-populated map of tenant name → :class:`TenantState`; each
+    tenant's stream runs its launches with ``runner``."""
 
-    def __init__(self) -> None:
+    def __init__(self, runner: Callable[..., LaunchResult]) -> None:
+        self._runner = runner
         self._tenants: Dict[str, TenantState] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -60,7 +65,8 @@ class TenantRegistry:
                 raise RuntimeError("tenant registry is closed (server draining)")
             state = self._tenants.get(name)
             if state is None:
-                state = TenantState(name=name, stream=Stream(name=f"tenant-{name}"))
+                state = TenantState(name=name, stream=Stream(
+                    name=f"tenant-{name}", runner=self._runner))
                 self._tenants[name] = state
             return state
 

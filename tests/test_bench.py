@@ -189,6 +189,12 @@ def test_serve_bench_schema_round_trips(tmp_path):
     window = report["server"]
     assert window["launches"] + window["coalesced"] == window["completed"]
     assert window["completed"] == 4
+    # Launches run on the workers, so their memory is reported beside the
+    # server's.
+    rss = report["peak_rss_mb"]
+    assert rss["server"] > 0
+    assert len(rss["workers"]) == len(os.sched_getaffinity(0))
+    assert all(mb > 0 for mb in rss["workers"])
 
 
 def test_serve_cli_writes_json(tmp_path, capsys, monkeypatch):

@@ -18,8 +18,9 @@ These pin the three stream bugs fixed alongside the serve layer:
    exception, never raises it).
 
 They also pin the async-launch basics: a future's result equals the
-synchronous launch's, one stream runs FIFO, ``synchronize`` drains, and
-``close(timeout)`` returns within its timeout.
+synchronous launch's, one stream runs FIFO, ``synchronize`` drains,
+``close(timeout)`` returns within its timeout, and ``LaunchFuture.cancel``
+skips a queued launch and stops a running one through its runner.
 """
 
 import threading
@@ -30,7 +31,14 @@ import pytest
 
 from repro.gpusim.errors import LaunchError, SimError
 from repro.gpusim.launch import run_kernel
-from repro.gpusim.stream import Event, Stream, default_stream, launch_async
+from repro.gpusim.launch import launch
+from repro.gpusim.stream import (
+    Event,
+    Stream,
+    default_stream,
+    launch_async,
+    running_future,
+)
 from repro.minicuda.parser import parse_kernel
 
 INC = parse_kernel(
@@ -368,3 +376,82 @@ class TestEvent:
             assert future.done()
             assert future.exception(timeout=0) is None
             assert future.result(timeout=0).ok
+
+
+class TestCancel:
+    def test_cancel_skips_a_queued_launch(self):
+        ran = []
+
+        def runner(*args, **kwargs):
+            ran.append(args[0].name)
+            return launch(*args, **kwargs)
+
+        stream = Stream(name="skip", runner=runner)
+        gate = _block_stream(stream)
+        try:
+            doomed = stream.launch_async(INC, 2, 32, _args())
+            kept = stream.launch_async(INC, 2, 32, _args())
+            assert doomed.cancel() is True
+            # Settled at once, with a located error; nothing ran yet.
+            with pytest.raises(LaunchError,
+                               match="'skip' queue position 1 was cancelled"):
+                doomed.result(timeout=0)
+            assert ran == []
+        finally:
+            gate._fired.set()
+        assert kept.result(timeout=120).ok
+        assert ran == ["inc"], "the cancelled launch ran"
+        assert stream.close(timeout=5.0)
+
+    def test_cancel_after_completion_keeps_the_result(self):
+        with Stream(name="late") as stream:
+            future = stream.launch_async(INC, 2, 32, _args())
+            assert future.result(timeout=120).ok
+            assert future.cancel() is False
+            assert future.result(timeout=0).ok
+
+    def test_cancel_stops_a_running_launch_through_its_runner(self):
+        """A runner that registers a stop function has it called by
+        cancel(); set_stop(None) afterwards reports that it ran."""
+        started, stopped = threading.Event(), threading.Event()
+        outcome = []
+
+        def runner(*args, **kwargs):
+            future = running_future()
+            assert future.set_stop(stopped.set)
+            started.set()
+            stopped.wait(10.0)
+            outcome.append(future.set_stop(None))
+            raise LaunchError("stopped")
+
+        stream = Stream(name="stoppable", runner=runner)
+        future = stream.launch_async(INC, 2, 32, _args())
+        assert started.wait(10.0)
+        assert future.cancel() is True
+        assert stopped.is_set(), "cancel() did not call the stop function"
+        with pytest.raises(LaunchError, match="was cancelled"):
+            future.result(timeout=0)
+        assert stream.close(timeout=10.0)
+        assert outcome == [False]
+        assert running_future() is None
+
+    def test_cancel_of_an_in_process_launch_drops_its_result(self):
+        """launch() cannot be stopped: the future fails at once, the stream
+        runs the launch to its end, and later launches still run."""
+        started, release = threading.Event(), threading.Event()
+
+        def runner(*args, **kwargs):
+            started.set()
+            release.wait(10.0)
+            return launch(*args, **kwargs)
+
+        stream = Stream(name="unstoppable", runner=runner)
+        running = stream.launch_async(INC, 2, 32, _args())
+        later = stream.launch_async(INC, 2, 32, _args())
+        assert started.wait(10.0)
+        assert running.cancel() is True
+        release.set()
+        assert later.result(timeout=120).ok
+        with pytest.raises(LaunchError, match="was cancelled"):
+            running.result(timeout=0)
+        assert stream.close(timeout=5.0)

@@ -3,8 +3,11 @@
 import base64
 import http.client
 import json
+import os
+import signal
 import socket
 import statistics
+import sys
 import threading
 import time
 
@@ -40,6 +43,14 @@ OOB = """
 __global__ void oob(float* x, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
     x[i + n] = 1.0f;
+}
+"""
+
+#: Never terminates: only cancelling (killing its worker) ends it.
+SPIN = """
+__global__ void spin(float* x, int n) {
+    int i = threadIdx.x;
+    while (n > 0) { x[i] += 1.0f; }
 }
 """
 
@@ -423,16 +434,28 @@ class TestServerHTTP:
         assert body["ok"] is False
         assert "out of range" in body["error"]["message"]
 
-    def test_malformed_request_400(self, client):
-        # A non-int grid element is answered, not a dropped connection.
-        for body in ({"kernel": ""}, {"kernel": SAXPY, "grid": [[1]],
-                                      "block": 64},
-                     {"kernel": SAXPY, "grid": 1, "block": 64,
-                      "options": {"backend": "compiled"}}):
+    def test_malformed_request_400(self, server, client):
+        # A non-int grid element or source that does not parse is answered
+        # and counted, not a dropped connection, and nothing is queued.
+        bodies = ({"kernel": ""}, {"kernel": SAXPY, "grid": [[1]],
+                                   "block": 64},
+                  {"kernel": SAXPY, "grid": 1, "block": 64,
+                   "options": {"backend": "compiled"}},
+                  {"kernel": "__global__ void k(float* x) { x[0] = ; }",
+                   "grid": 1, "block": 1,
+                   "args": {"x": encode_array(np.zeros(1, np.float32))}})
+        before = client.stats()["counters"]
+        for body in bodies:
             with pytest.raises(ServeError) as excinfo:
                 client._request("POST", "/v1/launch", body)
             assert excinfo.value.status == 400
             assert excinfo.value.body["kind"] == "protocol"
+        assert excinfo.value.body["error"]["message"] == (
+            "ParseError: [1:38] unexpected token ';'")
+        after = client.stats()["counters"]
+        assert after["errors"] - before["errors"] == len(bodies)
+        assert after["completed"] == before["completed"]
+        assert server.batcher.snapshot()["launches"] == 0
 
     def test_unknown_path_404(self, client):
         with pytest.raises(ServeError) as excinfo:
@@ -605,8 +628,11 @@ class TestKeepAlive:
                 name, dur = entry.strip().split(";")
                 assert dur.startswith("dur=")
                 phases[name] = float(dur[len("dur="):])
-            assert list(phases) == ["decode", "launch", "encode", "total"]
+            assert list(phases) == ["decode", "launch", "execute", "encode",
+                                    "total"]
             assert all(ms >= 0.0 for ms in phases.values()), phases
+            # The worker's own launch() time sits inside the server's wait.
+            assert phases["execute"] <= phases["launch"]
             assert phases["total"] >= (phases["decode"] + phases["launch"]
                                        + phases["encode"])
             assert phases["total"] <= round_trip
@@ -616,6 +642,196 @@ def _wire_args_n(n):
     x = np.arange(n, dtype=np.float32)
     y = np.ones(n, dtype=np.float32)
     return {"x": x, "y": y, "a": 2.0, "n": n}
+
+
+def _spin_args():
+    return {"x": np.zeros(32, dtype=np.float32), "n": 1}
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+def _busy_pids(server):
+    with server.workers._cond:
+        idle = {w.pid for w in server.workers._idle}
+        return [w.pid for w in server.workers._workers if w.pid not in idle]
+
+
+def _alive(pid):
+    """Running, not merely a zombie awaiting its reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestLaunchWorkers:
+    """Served launches run on forked worker processes, which a deadline or
+    a drain can kill."""
+
+    def test_launch_runs_in_a_worker_process(self, server, client):
+        client.launch(SAXPY, 4, 64, _payload()["args"], tenant="pid")
+        workers = client.stats()["workers"]
+        assert len(workers) == len(os.sched_getaffinity(0))
+        assert sum(w["launches"] for w in workers) == 1
+        for worker in workers:
+            assert worker["pid"] != os.getpid()
+            with open(f"/proc/{worker['pid']}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            assert ppid == os.getpid()
+            assert worker["peak_rss_mb"] > 0 and worker["cpu_ms"] >= 0
+
+    def test_killed_worker_fails_its_launch_and_is_replaced(self, server,
+                                                             client):
+        outcome = []
+
+        def spin():
+            try:
+                client.launch(SPIN, 1, 32, _spin_args(), tenant="victim")
+            except ServeError as exc:
+                outcome.append(exc)
+
+        spinner = threading.Thread(target=spin, daemon=True)
+        spinner.start()
+        _wait_for(lambda: _busy_pids(server))
+        [pid] = _busy_pids(server)
+        os.kill(pid, signal.SIGKILL)
+        spinner.join(timeout=10.0)
+        assert not spinner.is_alive()
+        [exc] = outcome
+        assert exc.status == 500
+        message = exc.body["error"]["message"]
+        assert f"launch worker {pid} was killed by signal 9 (SIGKILL)" in message
+        assert "'tenant-victim' queue position 1" in message
+        # The tenant's next launch runs on a fresh worker.
+        assert client.launch(SAXPY, 4, 64, _payload()["args"],
+                             tenant="victim")["ok"]
+        workers = client.stats()["workers"]
+        assert pid not in [w["pid"] for w in workers]
+        assert sum(w["replacements"] for w in workers) == 1
+        assert not _alive(pid)
+
+    def test_last_expiring_waiter_cancels_a_coalesced_launch(self, server,
+                                                             client):
+        """Two waiters on one launch: the first deadline leaves it running,
+        the second cancels it, and an identical request then launches
+        afresh instead of joining the cancelled entry."""
+        statuses = {}
+
+        def wait(tenant, deadline_ms):
+            try:
+                client.launch(SPIN, 1, 32, _spin_args(), tenant=tenant,
+                              deadline_ms=deadline_ms)
+            except ServeError as exc:
+                statuses[tenant] = exc.status
+
+        first = threading.Thread(target=wait, args=("first", 1000))
+        first.start()
+        _wait_for(lambda: _busy_pids(server))
+        [pid] = _busy_pids(server)
+        second = threading.Thread(target=wait, args=("second", 2500))
+        second.start()
+        _wait_for(lambda: server.batcher.snapshot()["coalesced"] == 1)
+        first.join(timeout=10.0)
+        assert statuses == {"first": 504}
+        assert _busy_pids(server) == [pid], "the first expiry stopped it"
+        second.join(timeout=10.0)
+        assert statuses == {"first": 504, "second": 504}
+        _wait_for(lambda: sum(w["replacements"]
+                              for w in client.stats()["workers"]) == 1)
+        assert not _alive(pid)
+
+        wait("third", 300)
+        assert statuses["third"] == 504
+        assert server.batcher.snapshot()["launches"] == 2
+        assert server.batcher.snapshot()["coalesced"] == 1
+
+    def test_queued_launch_whose_waiter_gave_up_is_skipped(self, server,
+                                                           client):
+        stream = server.tenants.get("parked").stream
+        gate = _park(stream)
+        try:
+            with pytest.raises(ServeError) as excinfo:
+                client.launch(SAXPY, 4, 64, _payload()["args"],
+                              tenant="parked", deadline_ms=200)
+            assert excinfo.value.status == 504
+        finally:
+            gate._fired.set()
+        stream.synchronize(timeout=10.0)
+        assert sum(w["launches"] for w in client.stats()["workers"]) == 0
+        assert client.launch(SAXPY, 4, 64, _payload()["args"],
+                             tenant="parked")["ok"]
+        assert sum(w["launches"] for w in client.stats()["workers"]) == 1
+
+    def test_more_tenants_than_workers_stress(self, server, client):
+        """Six tenants share the workers under a short switch interval:
+        every request is answered, every launch ran on exactly one worker,
+        and every worker is idle again afterwards."""
+        errors = []
+
+        def tenant(tid):
+            tenant_client = ServeClient(client.base_url)
+            for i in range(4):
+                # Rounds 0 and 2 send the same bytes from every tenant.
+                n = 64 if i % 2 == 0 else 64 + 8 * tid + i
+                try:
+                    resp = tenant_client.launch(SAXPY, 1, 64, _wire_args_n(n),
+                                                tenant=f"s{tid}")
+                    assert resp["ok"]
+                except Exception as exc:  # pragma: no cover - diagnostic
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=tenant, args=(t,))
+                       for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        counters = client.stats()["counters"]
+        assert counters["completed"] == 24
+        assert counters["launches"] + counters["coalesced"] == 24
+        workers = client.stats()["workers"]
+        assert sum(w["launches"] for w in workers) == counters["launches"]
+        assert _busy_pids(server) == []
+
+    def test_drain_kills_a_stuck_worker(self):
+        """A drain that times out on a running launch still leaves no
+        worker behind, and the stuck request is answered."""
+        srv = KernelServer(("127.0.0.1", 0))
+        loop = threading.Thread(target=srv.serve_forever, daemon=True)
+        loop.start()
+        client = ServeClient(f"http://127.0.0.1:{srv.server_address[1]}")
+        pids = [w["pid"] for w in client.stats()["workers"]]
+        outcome = []
+
+        def spin():
+            try:
+                client.launch(SPIN, 1, 32, _spin_args(), tenant="stuck")
+            except ServeError as exc:
+                outcome.append(exc.status)
+
+        spinner = threading.Thread(target=spin, daemon=True)
+        try:
+            spinner.start()
+            _wait_for(lambda: _busy_pids(srv))
+            assert srv.drain(0.5) is False
+            spinner.join(timeout=10.0)
+            assert outcome == [500]
+            assert not any(_alive(pid) for pid in pids)
+        finally:
+            srv.server_close()
 
 
 class TestStartupBackendCheck:
