@@ -26,6 +26,11 @@ leading block axis:
   scalars: a sentinel sort counts distinct 128-byte segments per row, a
   sort + bincount finds the worst shared-memory bank degree per row, and a
   masked min/max detects constant-memory broadcasts per row.
+* **Full mask.** When a memory access runs under the launch's full entry
+  mask (:meth:`MegaContext.full_mask`), the hooks skip the per-lane
+  masking: a block-invariant ``(WARP_SIZE,)`` address vector is reduced
+  once and scaled by ``rows``, row-varying addresses reduce per row with
+  no sentinel, and gathers and scatters index the data directly.
 * **Shared/local memory** materializes as one ``(blocks, …)`` slab per
   declaration (:class:`~repro.gpusim.memory.BatchedSharedArray` /
   ``BatchedLocalArray``) with the same per-block byte addressing, so replay
@@ -149,7 +154,6 @@ ExprFn = Callable[["MegaContext", np.ndarray], object]
 StmtFn = Callable[["MegaContext", np.ndarray], object]
 
 _LANES = np.arange(WARP_SIZE)
-_LANES_I64 = np.arange(WARP_SIZE, dtype=np.int64)
 _I64_MAX = np.iinfo(np.int64).max
 
 
@@ -215,6 +219,67 @@ def _batch_const_serialized(byte_addrs: np.ndarray, mask: np.ndarray) -> np.ndar
     lo = np.where(mask, addrs, _I64_MAX).min(axis=1)
     hi = np.where(mask, addrs, -1).max(axis=1)
     return (lo != hi) & mask.any(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Full-mask stat reductions
+#
+# Under the launch's full entry mask (:meth:`MegaContext.full_mask`) every
+# lane of every row is active, so no reduction needs the inactive-lane
+# sentinel or a per-row active count.  A block-invariant ``(WARP_SIZE,)``
+# address vector is the same warp access in every row: the ``_warp_*``
+# helpers reduce it once, and the hooks multiply by ``rows``.  The
+# ``_full_*`` helpers reduce ``(rows, WARP_SIZE)`` addresses per row.
+# ---------------------------------------------------------------------------
+
+
+def _warp_txns(byte_addrs: np.ndarray) -> int:
+    """``coalescing.transactions_for`` of one full warp."""
+    return len(set((byte_addrs // 128).tolist()))
+
+
+def _warp_bank_replays(byte_addrs: np.ndarray) -> int:
+    """``coalescing.bank_conflict_replays`` of one full warp."""
+    words = np.unique(byte_addrs // 4)
+    return int(np.bincount(words % 32).max()) - 1
+
+
+def _warp_const_serialized(byte_addrs: np.ndarray) -> bool:
+    """``not coalescing.broadcast_segments`` of one full warp."""
+    return len(set(byte_addrs.tolist())) > 1
+
+
+def _full_txns(byte_addrs: np.ndarray) -> np.ndarray:
+    """Per-row ``transactions_for`` of full rows."""
+    segs = byte_addrs // 128  # fresh, writable
+    segs.sort(axis=1)
+    return 1 + np.count_nonzero(segs[:, 1:] != segs[:, :-1], axis=1)
+
+
+def _full_bank_replays(byte_addrs: np.ndarray) -> np.ndarray:
+    """Per-row ``bank_conflict_replays`` of full rows: distinct words per
+    (row, bank), the worst bank sets the pass count."""
+    words = byte_addrs // 4
+    words.sort(axis=1)
+    fresh = np.ones(words.shape, dtype=bool)
+    fresh[:, 1:] = words[:, 1:] != words[:, :-1]
+    nrows = words.shape[0]
+    keys = (np.arange(nrows)[:, None] * 32 + words % 32)[fresh]
+    counts = np.bincount(keys, minlength=nrows * 32).reshape(nrows, 32)
+    return counts.max(axis=1) - 1
+
+
+def _full_const_serialized(byte_addrs: np.ndarray) -> np.ndarray:
+    """Per-row ``not broadcast_segments`` of full rows."""
+    return byte_addrs.min(axis=1) != byte_addrs.max(axis=1)
+
+
+def _in_bounds(idx: np.ndarray, limit: int) -> bool:
+    """Every lane's index lies in ``[0, limit)``."""
+    if idx.ndim == 1:  # one warp: list min/max beat two ufunc reductions
+        lanes = idx.tolist()
+        return min(lanes) >= 0 and max(lanes) < limit
+    return int(idx.min()) >= 0 and int(idx.max()) < limit
 
 
 def _batch_distinct(addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -353,7 +418,7 @@ def _mb_atomic_add(ctx: "MegaContext", root, indices: list, mask: np.ndarray, de
         )
         return _mb_atomic_apply(buf.data, offsets, mask, delta)
     if isinstance(root, BatchedSharedArray):
-        flat = _flat_index(root, indices)
+        flat = root.flat_index(indices)
         bad = mask & ((flat < 0) | (flat >= root.numel))
         if bad.any():
             raise _mb_bounds_fault(root.name, "shared", flat, mask, root.numel)
@@ -373,23 +438,6 @@ def _mb_atomic_add(ctx: "MegaContext", root, indices: list, mask: np.ndarray, de
 # Bounds faults raise generic MemoryFaults here: any SimError aborts the
 # megablock run and the per-block rerun reproduces the exact located fault.
 # ---------------------------------------------------------------------------
-
-
-def _flat_index(root: BatchedSharedArray, indices: list) -> np.ndarray:
-    # Mirrors SharedArray.flat_index (row-major flattening) without copying
-    # the common 1-D index.
-    dims = root.dims
-    if len(indices) != len(dims):
-        raise MemoryFault(
-            f"shared array {root.name!r} expects {len(dims)} indices, "
-            f"got {len(indices)}"
-        )
-    if len(dims) == 1:
-        return indices[0]
-    flat = indices[0]
-    for dim, idx in zip(dims[1:], indices[1:]):
-        flat = flat * dim + idx
-    return flat
 
 
 def _mb_bounds_fault(name: str, space: str, idx, mask, limit: int) -> MemoryFault:
@@ -421,12 +469,6 @@ def _mb_global_store(buf: GlobalBuffer, offsets, mask, values) -> None:
     # Row-major flatten scatters ascending block order: the same last-writer-
     # wins order as the sequential per-block loop.
     data[offsets_b[mask]] = values_b[mask].astype(data.dtype, copy=False)
-
-
-def _mb_local_byte_addrs(root: BatchedLocalArray, idx) -> np.ndarray:
-    return root.base_addr + (
-        idx.astype(np.int64, copy=False) * root.warp_size + _LANES_I64
-    ) * root.itemsize
 
 
 def _mb_tex_load(tex, idx, mask) -> np.ndarray:
@@ -649,10 +691,8 @@ class MegaContext:
     ):
         self.env = env
         self.init_mask = init_mask
-        #: The entry mask *object* and whether it covers every lane: the
-        #: assignment closures use the identity test ``mask is entry_mask
-        #: and entry_full and not has_inactive`` to skip the per-lane
-        #: ``np.where`` merge when every lane is active.
+        #: The entry mask *object* and whether it covers every lane; see
+        #: :meth:`full_mask`.
         self.entry_mask = init_mask
         self.entry_full = bool(init_mask.all())
         self.nblocks = nblocks
@@ -693,21 +733,189 @@ class MegaContext:
             self.rows_any(mask)
         return self._rows_val
 
+    def full_mask(self, mask: np.ndarray) -> bool:
+        """Is ``mask`` the launch's full entry mask, every lane of every row
+        active?  Statements narrow a mask into new arrays and never mutate
+        one, so the identity test is exact.  Assignments then skip the
+        per-lane ``np.where`` merge, and the memory hooks take their
+        full-mask path."""
+        return mask is self.entry_mask and self.entry_full and not self.has_inactive
+
 
 # ---------------------------------------------------------------------------
 # Batched memory access (mirrors interp._load_object/_store_object minus the
 # injector/trace/sanitizer hooks — those launches are ineligible)
+#
+# Each hook first tries its full-mask path: under the full entry mask of an
+# unprofiled launch, stats come from the full-mask reductions above, bounds
+# from min/max over all lanes, and gathers/scatters index the data without
+# the per-lane ``np.where``/boolean compress.  An access with an
+# out-of-range lane returns ``None``/``False`` there and takes the general
+# path, which raises the fault.
 # ---------------------------------------------------------------------------
 
 
+def _full_global_stats(ctx: MegaContext, buf: GlobalBuffer, offsets) -> None:
+    stats = ctx.stats
+    rows = ctx.nblocks  # every row is active
+    addrs = buf.byte_addrs(offsets)
+    needed = max((WARP_SIZE * buf.itemsize + 127) // 128, 1)
+    if addrs.ndim == 1:
+        txns = _warp_txns(addrs)
+        stats.global_transactions += txns * rows
+        if txns > needed:
+            stats.uncoalesced_accesses += rows
+    else:
+        txns_rows = _full_txns(addrs)
+        stats.global_transactions += int(txns_rows.sum())
+        stats.uncoalesced_accesses += int(np.count_nonzero(txns_rows > needed))
+
+
+def _full_shared_stats(ctx: MegaContext, root: BatchedSharedArray, flat) -> None:
+    addrs = root.byte_addrs(flat)
+    if addrs.ndim == 1:
+        ctx.stats.shared_bank_replays += _warp_bank_replays(addrs) * ctx.nblocks
+    else:
+        ctx.stats.shared_bank_replays += int(_full_bank_replays(addrs).sum())
+
+
+def _full_local_stats(ctx: MegaContext, root: BatchedLocalArray, idx) -> None:
+    stats = ctx.stats
+    rows = ctx.nblocks
+    addrs = root.byte_addrs(idx)
+    if addrs.ndim == 1:
+        stats.local_transactions += _warp_txns(addrs) * rows
+    else:
+        stats.local_transactions += int(_full_txns(addrs).sum())
+    stats.local_bytes += rows * WARP_SIZE * root.itemsize
+
+
+def _mb_load_full(ctx: MegaContext, root, indices: list):
+    """Full-mask load; ``None`` defers to the general path.  A global or
+    constant gather at block-invariant offsets returns the ``(WARP_SIZE,)``
+    value every row reads."""
+    stats = ctx.stats
+    rows = ctx.nblocks
+    if isinstance(root, PointerValue):
+        if len(indices) != 1:
+            return None
+        buf = root.buffer
+        offsets = root.offsets + indices[0]
+        if not _in_bounds(offsets, buf.data.size):
+            return None
+        stats.global_load_insts += rows
+        _full_global_stats(ctx, buf, offsets)
+        return buf.data[offsets]
+    if isinstance(root, BatchedSharedArray):
+        flat = root.flat_index(indices)
+        if not _in_bounds(flat, root.numel):
+            return None
+        stats.shared_load_insts += rows
+        _full_shared_stats(ctx, root, flat)
+        return root.data[root.batch_rows()[:, None], flat]
+    if isinstance(root, BatchedLocalArray):
+        if len(indices) != 1:
+            return None
+        idx = indices[0]
+        if not _in_bounds(idx, root.numel):
+            return None
+        if not root.in_registers:
+            stats.local_load_insts += rows
+            _full_local_stats(ctx, root, idx)
+        return root.data[np.arange(rows)[:, None], _LANES, idx]
+    if isinstance(root, ConstArray):
+        if len(indices) != 1:
+            return None
+        idx = indices[0]
+        if not _in_bounds(idx, root.numel):
+            return None
+        stats.const_load_insts += rows
+        addrs = root.byte_addrs(idx)
+        if addrs.ndim == 1:
+            stats.const_serialized += rows * _warp_const_serialized(addrs)
+        else:
+            stats.const_serialized += int(
+                np.count_nonzero(_full_const_serialized(addrs))
+            )
+        return root.data[idx]
+    return None
+
+
+def _mb_store_full(ctx: MegaContext, root, indices: list, values) -> bool:
+    """Full-mask store; ``False`` defers to the general path.  Global and
+    shared scatters run in ``ravel()`` order, which under a full mask is
+    the general path's ``arr[mask]`` order: row-major, so the last writer
+    in sequential (block, warp, lane) order wins."""
+    stats = ctx.stats
+    rows = ctx.nblocks
+    shape = (rows, WARP_SIZE)
+    if isinstance(root, PointerValue):
+        if len(indices) != 1:
+            return False
+        buf = root.buffer
+        data = buf.data
+        offsets = root.offsets + indices[0]
+        if not _in_bounds(offsets, data.size):
+            return False
+        stats.global_store_insts += rows
+        _full_global_stats(ctx, buf, offsets)
+        data[np.broadcast_to(offsets, shape).ravel()] = np.broadcast_to(
+            values, shape
+        ).ravel().astype(data.dtype, copy=False)
+        return True
+    if isinstance(root, BatchedSharedArray):
+        flat = root.flat_index(indices)
+        if not _in_bounds(flat, root.numel):
+            return False
+        stats.shared_store_insts += rows
+        _full_shared_stats(ctx, root, flat)
+        slab_rows = np.broadcast_to(root.batch_rows()[:, None], shape).ravel()
+        root.data[slab_rows, np.broadcast_to(flat, shape).ravel()] = (
+            np.broadcast_to(values, shape).ravel().astype(root.data.dtype)
+        )
+        return True
+    if isinstance(root, BatchedLocalArray):
+        if len(indices) != 1:
+            return False
+        idx = indices[0]
+        if not _in_bounds(idx, root.numel):
+            return False
+        if not root.in_registers:
+            stats.local_store_insts += rows
+            _full_local_stats(ctx, root, idx)
+        # Every (row, lane) owns its element, so the scatter never collides.
+        root.data[np.arange(rows)[:, None], _LANES, idx] = values.astype(
+            root.data.dtype, copy=False
+        )
+        return True
+    return False
+
+
+def _mb_tex_full(ctx: MegaContext, tex, idx):
+    """Full-mask ``tex1Dfetch`` with the general path's texture-cache
+    amortization; ``None`` defers to the general path."""
+    if not _in_bounds(idx, tex.data.size):
+        return None
+    rows = ctx.nblocks
+    ctx.stats.global_load_insts += rows
+    ctx.stats.global_transactions += rows * max(
+        (WARP_SIZE * tex.itemsize + 127) // 128, 1
+    )
+    return tex.data[idx]
+
+
 def _mb_load_object(ctx: MegaContext, root, indices: list, mask: np.ndarray):
+    if ctx.profile is None and ctx.full_mask(mask):
+        value = _mb_load_full(ctx, root, indices)
+        if value is not None:
+            return value
     stats = ctx.stats
     if isinstance(root, PointerValue):
         if len(indices) != 1:
             raise MemoryFault("global pointers are 1-D; use manual 2-D math")
         buf = root.buffer
         offsets = root.offsets + indices[0]
-        addrs = buf.base_addr + offsets.astype(np.int64, copy=False) * buf.itemsize
+        addrs = buf.byte_addrs(offsets)
         rows = ctx.rows(mask)
         active_rows = mask.sum(axis=1)
         txns_rows, unco_rows = _batch_global_stats(
@@ -723,12 +931,10 @@ def _mb_load_object(ctx: MegaContext, root, indices: list, mask: np.ndarray):
             )
         return _mb_global_load(buf, offsets, mask)
     if isinstance(root, BatchedSharedArray):
-        flat = _flat_index(root, indices)
+        flat = root.flat_index(indices)
         rows = ctx.rows(mask)
         stats.shared_load_insts += rows
-        replays_rows = _batch_bank_replays(
-            root.base_offset + flat * root.itemsize, mask
-        )
+        replays_rows = _batch_bank_replays(root.byte_addrs(flat), mask)
         replays = int(replays_rows.sum())
         stats.shared_bank_replays += replays
         if ctx.profile is not None:
@@ -743,7 +949,7 @@ def _mb_load_object(ctx: MegaContext, root, indices: list, mask: np.ndarray):
         else:
             rows = ctx.rows(mask)
             stats.local_load_insts += rows
-            ltx_rows = _batch_txns(_mb_local_byte_addrs(root, idx), mask)
+            ltx_rows = _batch_txns(root.byte_addrs(idx), mask)
             stats.local_transactions += int(ltx_rows.sum())
             stats.local_bytes += int(mask.sum()) * root.itemsize
             if ctx.profile is not None:
@@ -768,14 +974,17 @@ def _mb_load_object(ctx: MegaContext, root, indices: list, mask: np.ndarray):
 def _mb_store_object(
     ctx: MegaContext, root, indices: list, mask: np.ndarray, values
 ) -> None:
-    stats = ctx.stats
     values = np.asarray(values)
+    if ctx.profile is None and ctx.full_mask(mask):
+        if _mb_store_full(ctx, root, indices, values):
+            return
+    stats = ctx.stats
     if isinstance(root, PointerValue):
         if len(indices) != 1:
             raise MemoryFault("global pointers are 1-D; use manual 2-D math")
         buf = root.buffer
         offsets = root.offsets + indices[0]
-        addrs = buf.base_addr + offsets.astype(np.int64, copy=False) * buf.itemsize
+        addrs = buf.byte_addrs(offsets)
         rows = ctx.rows(mask)
         active_rows = mask.sum(axis=1)
         txns_rows, unco_rows = _batch_global_stats(
@@ -792,12 +1001,10 @@ def _mb_store_object(
         _mb_global_store(buf, offsets, mask, values)
         return
     if isinstance(root, BatchedSharedArray):
-        flat = _flat_index(root, indices)
+        flat = root.flat_index(indices)
         rows = ctx.rows(mask)
         stats.shared_store_insts += rows
-        replays_rows = _batch_bank_replays(
-            root.base_offset + flat * root.itemsize, mask
-        )
+        replays_rows = _batch_bank_replays(root.byte_addrs(flat), mask)
         replays = int(replays_rows.sum())
         stats.shared_bank_replays += replays
         if ctx.profile is not None:
@@ -813,7 +1020,7 @@ def _mb_store_object(
         else:
             rows = ctx.rows(mask)
             stats.local_store_insts += rows
-            ltx_rows = _batch_txns(_mb_local_byte_addrs(root, idx), mask)
+            ltx_rows = _batch_txns(root.byte_addrs(idx), mask)
             stats.local_transactions += int(ltx_rows.sum())
             stats.local_bytes += int(mask.sum()) * root.itemsize
             if ctx.profile is not None:
@@ -1025,6 +1232,10 @@ def _mb_call(expr: Call) -> ExprFn:
             tex = ctx.env.get(tex_name)
             idx = idx_fn(ctx, mask).astype(np.int64, copy=False)
             if isinstance(tex, (ConstArray, GlobalBuffer)):
+                if ctx.profile is None and ctx.full_mask(mask):
+                    value = _mb_tex_full(ctx, tex, idx)
+                    if value is not None:
+                        return value
                 # Texture-cache amortization: see interp._eval_call.
                 rows = ctx.rows(mask)
                 ctx.stats.global_load_insts += rows
@@ -1279,11 +1490,7 @@ def _mb_assign(stmt: Assign) -> StmtFn:
             if old.__class__ is PointerValue:
                 ctx.env[name] = value
                 return
-            if (
-                mask is ctx.entry_mask
-                and ctx.entry_full
-                and not ctx.has_inactive
-            ):
+            if ctx.full_mask(mask):
                 ctx.env[name] = value.astype(old.dtype, copy=False)
             else:
                 ctx.env[name] = np.where(
@@ -1343,6 +1550,15 @@ def _mb_sync(stmt: ExprStmt) -> StmtFn:
     return sync
 
 
+def _mb_then_mask(ctx: MegaContext, mask: np.ndarray, cond: np.ndarray):
+    """``mask & cond``, or ``mask`` itself when it is the full entry mask
+    and every lane takes the branch: the two are equal lane for lane, and
+    the body of a uniform branch keeps the full-mask path."""
+    if ctx.full_mask(mask) and b"\x00" not in cond.tobytes():
+        return mask
+    return mask & cond
+
+
 def _mb_if(stmt: If) -> tuple[StmtFn, bool]:
     loc = _stmt_loc(stmt)
     line = loc.line if loc is not None else None
@@ -1359,7 +1575,7 @@ def _mb_if(stmt: If) -> tuple[StmtFn, bool]:
             ctx.current_mask = mask
             cond = cond_fn(ctx, mask).astype(bool, copy=False)
             ctx.stats.control_insts += ctx.rows(mask)
-            m_then = mask & cond
+            m_then = _mb_then_mask(ctx, mask, cond)
             then_any = _mask_any(m_then)
             if has_else:
                 m_else = _and_not(mask, cond)
@@ -1386,7 +1602,7 @@ def _mb_if(stmt: If) -> tuple[StmtFn, bool]:
         ctx.current_mask = mask
         cond = cond_fn(ctx, mask).astype(bool, copy=False)
         ctx.stats.control_insts += ctx.rows(mask)
-        m_then = mask & cond
+        m_then = _mb_then_mask(ctx, mask, cond)
         then_any = _mask_any(m_then)
         if has_else:
             m_else = _and_not(mask, cond)

@@ -61,7 +61,8 @@ class GlobalBuffer:
         return int(self.data.nbytes)
 
     def byte_addrs(self, elem_offsets: np.ndarray) -> np.ndarray:
-        return self.base_addr + elem_offsets.astype(np.int64) * self.itemsize
+        offsets = elem_offsets.astype(np.int64, copy=False)
+        return self.base_addr + offsets * self.itemsize
 
     def _check(self, offsets: np.ndarray, mask: np.ndarray) -> None:
         bad = mask & ((offsets < 0) | (offsets >= self.size))
@@ -320,14 +321,18 @@ class BatchedSharedArray:
         return self.data[row]
 
     def flat_index(self, indices: list[np.ndarray]) -> np.ndarray:
-        if len(indices) != len(self.dims):
+        """Row-major flattening of int64 lane indices, as
+        :meth:`SharedArray.flat_index`; a 1-D array's index is returned
+        as is, uncopied."""
+        dims = self.dims
+        if len(indices) != len(dims):
             raise MemoryFault(
-                f"shared array {self.name!r} expects {len(self.dims)} indices, "
+                f"shared array {self.name!r} expects {len(dims)} indices, "
                 f"got {len(indices)}"
             )
-        flat = np.zeros_like(indices[0], dtype=np.int64)
-        for dim, idx in zip(self.dims, indices):
-            flat = flat * dim + idx.astype(np.int64)
+        flat = indices[0]
+        for dim, idx in zip(dims[1:], indices[1:]):
+            flat = flat * dim + idx
         return flat
 
     def byte_addrs(self, flat: np.ndarray) -> np.ndarray:
@@ -386,6 +391,7 @@ class BatchedLocalArray:
         self.data = np.zeros((nblocks, warp_size, numel), dtype=dtype_for(type_name))
         self.base_addr = base_addr
         self.in_registers = in_registers
+        self._lanes = np.arange(warp_size, dtype=np.int64)
 
     @property
     def itemsize(self) -> int:
@@ -397,9 +403,8 @@ class BatchedLocalArray:
 
     def byte_addrs(self, idx: np.ndarray) -> np.ndarray:
         """Interleaved per-block addresses; identical per row to LocalArray."""
-        lanes = np.arange(self.warp_size, dtype=np.int64)
         return self.base_addr + (
-            idx.astype(np.int64) * self.warp_size + lanes
+            idx.astype(np.int64, copy=False) * self.warp_size + self._lanes
         ) * self.itemsize
 
     def _check(self, idx: np.ndarray, mask: np.ndarray) -> None:

@@ -2,10 +2,11 @@
 
 :func:`generate` derives a random — but fully deterministic per seed —
 kernel from a small race-free grammar: nested loops, divergent branches,
-shared staging through ``__syncthreads``, local arrays, warp shuffles with
-literal widths, and global atomics (both the order-free shapes the
-megablock engine batches and the order-sensitive shapes that must take its
-``"atomic-order"`` fallback).  Every generated kernel is legal by
+shared staging through ``__syncthreads``, local arrays, block-invariant
+addressing, warp shuffles with literal widths, and global atomics (both
+the order-free shapes the megablock engine batches and the
+order-sensitive shapes that must take its ``"atomic-order"``
+fallback).  Every generated kernel is legal by
 construction: indices are reduced modulo the buffer size, each thread
 writes only its own output slots (or goes through ``atomicAdd``), shared
 arrays follow the write → barrier → read discipline, and barriers only
@@ -241,22 +242,27 @@ def _chunk_local_array(rng: random.Random, k: int, block: int) -> str:
 
 
 def _chunk_shared(rng: random.Random, k: int, block: int) -> str:
-    """Write own slot → barrier → read a rotated slot.  Race-free, and the
-    barrier sits at top level so every thread in the block reaches it."""
+    """Write own slot → barrier → read a rotated slot, the read sometimes
+    under a divergent branch.  Race-free, and the barrier sits at top level
+    so every thread in the block reaches it."""
     delta = rng.randrange(1, block)
     if rng.random() < 0.5:
-        return "\n".join([
+        lines = [
             f"__shared__ float sh{k}[{block}];",
             f"sh{k}[tid] = {_fexpr(rng)};",
             "__syncthreads();",
             _accum(rng, f"sh{k}[(tid + {delta}) % {block}]"),
-        ])
-    return "\n".join([
-        f"__shared__ int si{k}[{block}];",
-        f"si{k}[tid] = {_iexpr(rng)};",
-        "__syncthreads();",
-        f"iout[gid] = iout[gid] + si{k}[(tid + {delta}) % {block}];",
-    ])
+        ]
+    else:
+        lines = [
+            f"__shared__ int si{k}[{block}];",
+            f"si{k}[tid] = {_iexpr(rng)};",
+            "__syncthreads();",
+            f"iout[gid] = iout[gid] + si{k}[(tid + {delta}) % {block}];",
+        ]
+    if rng.random() < 0.5:
+        lines[-1:] = [f"if ({_icond(rng)}) {{", f"    {lines[-1]}", "}"]
+    return "\n".join(lines)
 
 
 def _chunk_shuffle(rng: random.Random, k: int, block: int) -> str:
@@ -302,6 +308,29 @@ def _chunk_atomic(rng: random.Random, k: int, block: int) -> str:
     ])
 
 
+def _chunk_invariant(rng: random.Random, k: int, block: int) -> str:
+    """A global read and a local store at indices built only from a loop
+    counter and ``threadIdx``, sometimes under a divergent branch.  In a
+    one-warp block these indices are the same in every block, the
+    block-invariant addressing megablock's full-mask path reduces once."""
+    size = rng.choice([2, 4, 8])
+    loop = [
+        f"for (int i{k} = 0; i{k} < {size}; i{k} = i{k} + 1) {{",
+        f"    q{k}[(i{k} + tid) % {size}] = "
+        f"a[(tid * {rng.randrange(1, 5)} + i{k}) % n] * {_flit(rng)};",
+        "}",
+    ]
+    lines = [f"float q{k}[{size}];"]
+    if rng.random() < 0.5:
+        lines.append(f"if ({_icond(rng)}) {{")
+        lines.extend("    " + line for line in loop)
+        lines.append("}")
+    else:
+        lines.extend(loop)
+    lines.append(_accum(rng, f"q{k}[(tid + {rng.randrange(0, size)}) % {size}]"))
+    return "\n".join(lines)
+
+
 _CHUNKS: tuple[Callable[[random.Random, int, int], str], ...] = (
     _chunk_arith,
     _chunk_branch,
@@ -311,6 +340,7 @@ _CHUNKS: tuple[Callable[[random.Random, int, int], str], ...] = (
     _chunk_shared,
     _chunk_shuffle,
     _chunk_atomic,
+    _chunk_invariant,
 )
 
 

@@ -60,6 +60,28 @@ def test_corpus_covers_every_feature():
         assert feature in corpus, f"corpus never generated {feature!r}"
 
 
+def test_corpus_reaches_both_memory_paths(mb_paths):
+    """Megablock's memory hooks have a full-mask path (block-invariant or
+    row-varying indices) and a general per-lane path.  The corpus must
+    drive global, local and shared accesses down both, and global and
+    local ones at block-invariant indices, else the differential sweep
+    silently stops testing a path."""
+    from repro.gpusim.launch import run_kernel
+
+    for offset in range(FUZZ_COUNT):
+        kern = generate(BASE_SEED + offset)
+        run_kernel(
+            kern.source, kern.grid, kern.block, kern.make_args(),
+            backend="megablock", on_error="status",
+        )
+    for space in ("global", "local", "shared"):
+        full = mb_paths[(space, "warp")] + mb_paths[(space, "rows")]
+        assert full > 0, f"no full-mask {space} access"
+        assert mb_paths[(space, "general")] > 0, f"no general {space} access"
+    for space in ("global", "local"):
+        assert mb_paths[(space, "warp")] > 0, f"no block-invariant {space} access"
+
+
 def test_minimizer_reduces_to_single_chunk():
     """Against a synthetic failure predicate ('contains an atomicAdd') the
     greedy minimizer must strip every unrelated chunk and keep a kernel
