@@ -17,7 +17,6 @@ means.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -73,14 +72,13 @@ def _compile_split(bench) -> tuple[dict, int, str]:
     other half of the compile-vs-execute split explicitly so the JSON shows
     what a cold first launch would add.  Two components: the megablock
     lowering (``cache=False``) and the NP source-to-source transform over
-    the kernel's full variant space (in-memory variant cache cleared first,
-    so with the persistent disk tier active a warm process pays only
-    rehydration — the cold-vs-warm CI gate keys off this column).
+    the kernel's full variant space (variant cache cleared first, so every
+    variant compiles cold).
 
     Returns ``(split_ms, np_variants, variants_digest)``: the per-component
     milliseconds, how many configs compiled, and a sha256 over the emitted
-    variant sources in config order (warm and cold runs must agree
-    bit-for-bit).
+    variant sources in config order (the fingerprint of the NP compiler's
+    output, pinned by the committed ``BENCH_gpusim.json``).
     """
     from ..gpusim.megablock import compile_megablock
     from ..minicuda.errors import MiniCudaError
@@ -109,10 +107,9 @@ def _compile_split(bench) -> tuple[dict, int, str]:
 
 
 def _output_digest(result) -> str:
-    """sha256 over a launch's final buffer bytes and modeled statistics.
-
-    The cold-vs-warm cache gate asserts this is identical across runs: the
-    disk tier may only make compiles faster, never change what executes.
+    """sha256 over a launch's final buffer bytes and modeled statistics:
+    the bit-identity fingerprint of what executed, so a change that should
+    only make a launch faster can be checked against the committed report.
     """
     digest = hashlib.sha256()
     for name in sorted(result.gmem.buffers()):
@@ -131,16 +128,12 @@ def bench_kernel(name: str, repeats: int = 3, profile: bool = False) -> dict:
     records the profiles in the :mod:`repro.prof` registry as
     ``"bench/<name>/interp"`` / ``"bench/<name>/megablock"``.
     """
-    from ..gpusim.diskcache import disk_cache_stats
-
     bench = BENCHMARKS[name]()
     # Warm the kernel compile cache so lowering cost is excluded from the
     # execute columns (it is a once-per-source cost shared by every later
     # launch); the cold cost is recorded separately below.
     bench.run_baseline(backend="megablock", sample_blocks=1)
-    cache_before = disk_cache_stats("variant")
     compile_ms, np_variants, variants_digest = _compile_split(bench)
-    cache_after = disk_cache_stats("variant")
 
     if profile:
         from ..prof import record_profile
@@ -160,18 +153,11 @@ def bench_kernel(name: str, repeats: int = 3, profile: bool = False) -> dict:
         "block": mega_result.block,
         "compile_ms": compile_ms,
         # How many NP variants the np_transform column covers, and digests
-        # proving cold and warm (disk-tier) runs produce identical code and
-        # identical execution — the cold-vs-warm CI gate compares these.
+        # of the code they emit and of the megablock launch's execution, so
+        # two reports show whether the compiler or the engine changed output.
         "np_variants": np_variants,
         "variants_digest": variants_digest,
         "output_digest": _output_digest(mega_result),
-        # Disk-tier traffic of this kernel's np_transform measurement
-        # (all zeros when no GPUSIM_CACHE_DIR is configured).
-        "cache": {
-            "disk_hits": cache_after.hits - cache_before.hits,
-            "disk_misses": cache_after.misses - cache_before.misses,
-            "disk_stores": cache_after.stores - cache_before.stores,
-        },
         "interp_ms": round(interp_s * 1e3, 3),
         "megablock_ms": round(mega_s * 1e3, 3),
         "speedup_megablock": round(interp_s / mega_s, 3),
@@ -203,12 +189,6 @@ def run_bench(
         for name in kernels
     }
     speedups = [r["speedup_megablock"] for r in records.values()]
-    from ..gpusim.diskcache import disk_cache_stats, get_disk_cache
-
-    disk = get_disk_cache()
-    aggregate_compile_ms = round(
-        sum(sum(r["compile_ms"].values()) for r in records.values()), 3
-    )
     report = {
         "host": _host_facts(),
         "config": {
@@ -216,15 +196,6 @@ def run_bench(
             "repeats": repeats,
         },
         "kernels": records,
-        # Sum of every per-kernel compile_ms component: the number a warm
-        # persistent-cache run must beat by >= 5x (see the CI cache job).
-        "aggregate_compile_ms": aggregate_compile_ms,
-        # Process-wide disk-tier counters at report time; dir is null (and
-        # counters zero) when the persistent tier is inactive.
-        "cache": {
-            "dir": str(disk.root) if disk is not None else None,
-            "disk": dataclasses.asdict(disk_cache_stats()),
-        },
         "geomean_speedup": round(float(np.exp(np.mean(np.log(speedups)))), 3),
         "max_speedup": round(max(speedups), 3),
     }
@@ -555,52 +526,26 @@ def format_serve_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def format_report(report: dict, cache_stats: bool = False) -> str:
-    """Readable per-kernel table; ``cache_stats=True`` adds a compile/cache
-    column (np_transform ms next to the disk tier's hit/miss/store traffic
-    for that kernel, straight from the JSON record)."""
-    header = (
+def format_report(report: dict) -> str:
+    """Readable per-kernel table."""
+    lines = [
         f"{'kernel':6s} {'interp ms':>10s} "
         f"{'megablock ms':>13s} {'mw':>4s} {'speedup':>8s}"
-    )
-    if cache_stats:
-        header += f" {'np xform ms':>12s} {'cache h/m/s':>12s}"
-    lines = [header]
+    ]
     for name, rec in report["kernels"].items():
         mega = f"{rec['megablock_ms']:.1f}"
         if rec["megablock_fallback"] is not None:
             mega += "*"  # per-block interp fallback; see megablock_fallback
         # megawarp column: whole-grid flattened batch / per-slot / fallback
         mw = {True: "yes", False: "blk"}.get(rec.get("megablock_megawarp"), "-")
-        line = (
+        lines.append(
             f"{name:6s} {rec['interp_ms']:10.1f} "
             f"{mega:>13s} {mw:>4s} {rec['speedup_megablock']:7.2f}x"
         )
-        if cache_stats:
-            cache = rec.get("cache", {})
-            traffic = (
-                f"{cache.get('disk_hits', 0)}/{cache.get('disk_misses', 0)}"
-                f"/{cache.get('disk_stores', 0)}"
-            )
-            xform = rec.get("compile_ms", {}).get("np_transform")
-            xform_txt = f"{xform:.1f}" if xform is not None else "-"
-            line += f" {xform_txt:>12s} {traffic:>12s}"
-        lines.append(line)
     lines.append(
         f"geomean {report['geomean_speedup']:.2f}x   "
         f"max {report['max_speedup']:.2f}x"
     )
-    if cache_stats:
-        agg = report.get("aggregate_compile_ms")
-        cache = report.get("cache", {})
-        where = cache.get("dir") or "inactive"
-        disk = cache.get("disk", {})
-        lines.append(
-            f"aggregate compile {agg:.1f} ms   disk cache [{where}] "
-            f"hits={disk.get('hits', 0)} misses={disk.get('misses', 0)} "
-            f"stores={disk.get('stores', 0)} evictions={disk.get('evictions', 0)} "
-            f"errors={disk.get('errors', 0)}"
-        )
     return "\n".join(lines)
 
 
@@ -634,20 +579,6 @@ def main(argv: Optional[list] = None) -> int:
         metavar="NAME",
         default=None,
         help=f"subset of {', '.join(DEFAULT_KERNELS)}",
-    )
-    parser.add_argument(
-        "--cache-stats",
-        action="store_true",
-        help="add a compile/cache column to the printed table: np_transform "
-        "ms and the persistent disk tier's hit/miss/store traffic per "
-        "kernel (the data is always in the output JSON)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="activate the persistent cache tier rooted at DIR for this run "
-        "(same as exporting GPUSIM_CACHE_DIR)",
     )
     parser.add_argument(
         "--serve",
@@ -707,12 +638,10 @@ def main(argv: Optional[list] = None) -> int:
     unknown = [k for k in kernels if k not in BENCHMARKS]
     if unknown:
         parser.error(f"unknown kernels: {unknown}")
+    for flag in ("repeats", "tenants", "requests"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     repeats = 1 if args.quick and args.repeats == 3 else args.repeats
-
-    if args.cache_dir is not None:
-        from ..gpusim import diskcache
-
-        diskcache.configure(args.cache_dir)
 
     if args.serve:
         report = run_serve_bench(
@@ -735,7 +664,7 @@ def main(argv: Optional[list] = None) -> int:
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    print(format_report(report, cache_stats=args.cache_stats))
+    print(format_report(report))
     print(f"wrote {args.out}")
     if args.compare:
         with open(args.baseline) as fh:

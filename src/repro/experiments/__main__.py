@@ -1,35 +1,15 @@
 """CLI: ``python -m repro.experiments [--fast] [--chart] [--profile]
-[--cache-dir PATH] [--json PATH] [ids...]``."""
+[--json PATH] [ids...]``."""
 
 import sys
 
 from . import EXPERIMENTS, run_all
 
-
-def _take_value(argv: list[str], flag: str) -> tuple[list[str], str | None]:
-    """Pop ``flag VALUE`` out of argv; (argv, None) when absent."""
-    if flag not in argv:
-        return argv, None
-    i = argv.index(flag)
-    if i + 1 >= len(argv):
-        raise SystemExit(f"{flag} requires a value")
-    value = argv[i + 1]
-    return argv[:i] + argv[i + 2:], value
+#: Every flag the CLI takes besides ``--json PATH``.
+FLAGS = ("--fast", "--chart", "--profile")
 
 
 def main(argv: list[str]) -> int:
-    fast = "--fast" in argv
-    chart = "--chart" in argv
-    profiling = "--profile" in argv
-    if profiling:
-        from . import util
-
-        util.PROFILE_LAUNCHES = True
-    argv, cache_dir = _take_value(argv, "--cache-dir")
-    if cache_dir is not None:
-        from ..gpusim import diskcache
-
-        diskcache.configure(cache_dir)
     json_path = None
     if "--json" in argv:
         i = argv.index("--json")
@@ -38,6 +18,18 @@ def main(argv: list[str]) -> int:
             return 2
         json_path = argv[i + 1]
         argv = argv[:i] + argv[i + 2:]
+    flags = [a for a in argv if a.startswith("-")]
+    bad_flags = [f for f in flags if f not in FLAGS]
+    if bad_flags:
+        print(f"unknown flags: {bad_flags}; available: {[*FLAGS, '--json']}")
+        return 2
+    fast = "--fast" in flags
+    chart = "--chart" in flags
+    profiling = "--profile" in flags
+    if profiling:
+        from . import util
+
+        util.PROFILE_LAUNCHES = True
     ids = [a for a in argv if not a.startswith("-")]
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:

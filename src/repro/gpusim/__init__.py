@@ -9,7 +9,6 @@ The substrate that stands in for the paper's GTX 680 / K20c hardware:
 - :mod:`~repro.gpusim.interp` — warp-level interpreter (divergence masks)
 - :mod:`~repro.gpusim.megablock` — batch-vectorized execution engine (default)
 - :mod:`~repro.gpusim.compile` — kernel analyses + digest-keyed lowering cache
-- :mod:`~repro.gpusim.diskcache` — persistent content-addressed cache tier
 - :mod:`~repro.gpusim.stream` — async launches with stream ordering
 - :mod:`~repro.gpusim.occupancy` — CUDA occupancy calculator
 - :mod:`~repro.gpusim.timing` — Hong–Kim MWP/CWP kernel-time model
@@ -28,7 +27,6 @@ from .compile import (
     kernel_digest,
 )
 from .device import FERMI, GTX680, K20C, DeviceSpec
-from .diskcache import DiskCache, DiskCacheStats, disk_cache_stats, get_disk_cache
 from .diagnostics import FaultContext, FaultReport, render_report
 from .errors import (
     DivergenceError,

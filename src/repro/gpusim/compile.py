@@ -449,10 +449,6 @@ class CompileCacheStats:
     #: (``base``) and profiled ones (``prof``, cache keys carrying the
     #: ``#prof`` suffix).
     variants: dict = field(default_factory=dict)
-    #: Aggregate disk-tier counters (all namespaces; zeros when no
-    #: ``GPUSIM_CACHE_DIR`` / ``cache_dir`` is active) — see
-    #: :mod:`repro.gpusim.diskcache`.
-    disk: Optional[object] = None
 
 
 _CACHE: "OrderedDict[str, object]" = OrderedDict()
@@ -512,15 +508,12 @@ def compile_cache_stats() -> CompileCacheStats:
     variants = {"base": 0, "prof": 0}
     for key in _CACHE:
         variants["prof" if key.endswith("#prof") else "base"] += 1
-    from .diskcache import disk_cache_stats
-
     return CompileCacheStats(
         hits=_CACHE_STATS.hits,
         misses=_CACHE_STATS.misses,
         size=len(_CACHE),
         pid=_CACHE_STATS.pid,
         variants=variants,
-        disk=disk_cache_stats(),
     )
 
 

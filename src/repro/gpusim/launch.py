@@ -199,7 +199,6 @@ def launch(
     initcheck: bool = False,
     backend: Optional[str] = None,
     profile: bool = False,
-    cache_dir: Optional[str] = None,
 ) -> LaunchResult:
     """Simulate one kernel launch.
 
@@ -248,18 +247,8 @@ def launch(
     bit-identical across backends.
 
     Every launch runs in the calling process.
-
-    ``cache_dir`` activates the process-wide persistent cache tier rooted
-    at that directory (equivalent to exporting ``GPUSIM_CACHE_DIR``):
-    NP-transformed variants and autotune outcomes become content-addressed
-    disk entries shared across processes — see :mod:`repro.gpusim.diskcache`.
-    The setting is sticky for the process; pass it once.
     """
     started = time.perf_counter()
-    if cache_dir is not None:
-        from . import diskcache
-
-        diskcache.configure(cache_dir)
     if on_error not in ("raise", "status"):
         raise ValueError(f"on_error must be 'raise' or 'status', got {on_error!r}")
     backend_name = backend if backend is not None else default_backend()

@@ -7,20 +7,10 @@ variants, exhaustive search is practical — each variant is compiled, run on
 the simulator, checked against the baseline's functional output, and ranked
 by modeled kernel time.  The search runs in the calling process, one
 variant after another.
-
-**Outcome persistence** amortizes repeated searches: when the disk tier is
-active (``GPUSIM_CACHE_DIR`` / ``launch(..., cache_dir=)``), finished
-searches are recorded per kernel-digest × device × variant space, and
-``reuse=True`` (or ``GPUSIM_AUTOTUNE_REUSE=1``) lets a warm process skip
-re-measuring: cached per-point modeled seconds are restored onto the
-points (the timing model is deterministic, so they equal what a
-re-measurement would produce).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -28,7 +18,6 @@ import numpy as np
 
 from ..gpusim.device import DeviceSpec, GTX680
 from ..gpusim.diagnostics import FaultReport
-from ..gpusim.diskcache import get_disk_cache
 from ..gpusim.errors import SimError
 from ..gpusim.launch import Dim, LaunchResult, launch, _as_dim3
 from ..minicuda.errors import MiniCudaError
@@ -70,11 +59,6 @@ class TunePoint:
     (``error`` set, ``result`` None), the simulated launch faults
     (``fault`` carries the located :class:`FaultReport`), or the output
     check rejects it (``output_ok`` False).
-
-    A point restored from the disk tier's persisted outcomes carries no
-    :class:`~repro.gpusim.launch.LaunchResult`; its modeled time lives in
-    ``cached_seconds`` instead (identical to what a re-measurement would
-    produce — the timing model is deterministic).
     """
 
     variant: CompiledVariant
@@ -83,19 +67,10 @@ class TunePoint:
     output_ok: Optional[bool] = None
     #: Located runtime fault, when the variant's launch failed.
     fault: Optional[FaultReport] = None
-    #: Modeled seconds restored from a persisted autotune outcome (None for
-    #: a freshly measured point).
-    cached_seconds: Optional[float] = None
 
     @property
     def ok(self) -> bool:
         """True when this variant ran to completion and passed its check."""
-        if self.result is None and self.cached_seconds is not None:
-            return (
-                self.error is None
-                and self.fault is None
-                and self.output_ok is not False
-            )
         return (
             self.result is not None
             and self.result.ok
@@ -107,9 +82,6 @@ class TunePoint:
     def seconds(self) -> float:
         if not self.ok:
             return float("inf")
-        if self.result is None:
-            assert self.cached_seconds is not None
-            return self.cached_seconds
         return self.result.timing.seconds
 
     @property
@@ -135,9 +107,6 @@ class AutotuneReport:
     kernel_name: str
     baseline: LaunchResult
     points: list[TunePoint] = field(default_factory=list)
-    #: True when the points were restored from a persisted outcome instead
-    #: of re-measured (see ``autotune(..., reuse=...)``).
-    from_cache: bool = False
 
     @property
     def valid_points(self) -> list[TunePoint]:
@@ -179,126 +148,6 @@ class AutotuneReport:
 OutputCheck = Callable[[LaunchResult], bool]
 
 
-# -- persisted outcomes ------------------------------------------------------
-
-
-def _outcome_key(
-    kernel: Kernel,
-    block_size,
-    grid: Dim,
-    device: DeviceSpec,
-    configs: Sequence[NpConfig],
-    sample_blocks,
-    recombine_unrolled: bool,
-    backend,
-) -> Optional[dict]:
-    from ..gpusim.compile import kernel_digest
-
-    digest = kernel_digest(kernel)
-    if digest is None:
-        return None
-    block = block_size if isinstance(block_size, tuple) else (int(block_size),)
-    return {
-        "kind": "autotune",
-        "digest": digest,
-        "block": [int(b) for b in block],
-        "grid": list(_as_dim3(grid)),
-        "device": dataclasses.asdict(device),
-        "configs": [dataclasses.asdict(c) for c in configs],
-        "sample_blocks": sample_blocks,
-        "recombine_unrolled": bool(recombine_unrolled),
-        "backend": backend,
-    }
-
-
-def _record_outcome(key: Optional[dict], report: AutotuneReport) -> None:
-    """Persist a finished search so a warm process can skip re-measuring."""
-    disk = get_disk_cache()
-    if disk is None or key is None:
-        return
-    points = []
-    for p in report.points:
-        points.append(
-            {
-                "config": dataclasses.asdict(p.variant.config),
-                "seconds": None if not p.ok else p.seconds,
-                "output_ok": p.output_ok,
-                "error": p.error,
-                "fault": p.fault.summary() if p.fault is not None else None,
-            }
-        )
-    best_label = None
-    if report.valid_points:
-        best_label = report.best.label
-    disk.put(
-        "autotune",
-        key,
-        {
-            "kernel": report.kernel_name,
-            "baseline_seconds": report.baseline.timing.seconds,
-            "best": best_label,
-            "points": points,
-        },
-    )
-
-
-def _reuse_outcome(
-    key: Optional[dict],
-    kernel: Kernel,
-    block_size,
-    device: DeviceSpec,
-    configs: Sequence[NpConfig],
-    recombine_unrolled: bool,
-    baseline: LaunchResult,
-) -> Optional[AutotuneReport]:
-    """Rebuild a report from a persisted outcome (None on miss/mismatch).
-
-    Variants are still compiled — through the variant disk tier, so warm
-    reuse pays only rehydration — because callers read ``point.variant``;
-    the measurements themselves are restored, not re-run.
-    """
-    disk = get_disk_cache()
-    if disk is None or key is None:
-        return None
-    entry = disk.get("autotune", key)
-    if entry is None:
-        return None
-    cached_points = entry.get("points")
-    if not isinstance(cached_points, list) or len(cached_points) != len(configs):
-        return None
-    report = AutotuneReport(
-        kernel_name=kernel.name, baseline=baseline, from_cache=True
-    )
-    for config, cached in zip(configs, cached_points):
-        try:
-            variant = compile_np(
-                kernel, block_size, config, device=device,
-                recombine_unrolled=recombine_unrolled,
-            )
-        except MiniCudaError as exc:
-            report.points.append(
-                TunePoint(
-                    variant=_placeholder_variant(kernel, block_size, config),
-                    result=None,
-                    error=cached.get("error") or str(exc),
-                )
-            )
-            continue
-        error = cached.get("error")
-        if error is None and cached.get("fault") is not None:
-            error = cached["fault"]
-        report.points.append(
-            TunePoint(
-                variant=variant,
-                result=None,
-                error=error,
-                output_ok=cached.get("output_ok"),
-                cached_seconds=cached.get("seconds"),
-            )
-        )
-    return report
-
-
 def _placeholder_variant(kernel: Kernel, block_size, config: NpConfig):
     """Stand-in variant for a config the compiler rejected."""
     return CompiledVariant(
@@ -323,7 +172,6 @@ def autotune(
     faults=None,
     backend: Optional[str] = None,
     profile: bool = False,
-    reuse: Optional[bool] = None,
 ) -> AutotuneReport:
     """Exhaustively explore the CUDA-NP variant space for one kernel.
 
@@ -344,31 +192,17 @@ def autotune(
     ``backend`` is forwarded to every launch (baseline and variants), so
     the whole search can run on the megablock or the interp engine;
     repeated searches share the variant compile cache (see
-    :func:`repro.npc.pipeline.variant_cache_stats`) and, when the disk tier
-    is active, its cross-process ``variant`` namespace.
-
-    ``reuse=True`` (or ``GPUSIM_AUTOTUNE_REUSE=1``) restores a previously
-    persisted outcome for the same digest × device × variant space instead
-    of re-measuring: points carry their cached modeled seconds
-    (``cached_seconds``) and the report says so via ``from_cache``.  The
-    baseline is always launched fresh (speedups need it; the modeled time
-    is deterministic, so cached and fresh numbers agree).  Finished
-    fault-free searches are recorded automatically whenever the disk tier
-    is active.  Outcomes remember ``output_ok`` verbatim — reuse with a
-    *different* ``check_output`` than the recording run's is on the caller.
+    :func:`repro.npc.pipeline.variant_cache_stats`).
 
     ``profile=True`` runs every launch with per-line profiling and records
     each profile in the :mod:`repro.prof` registry under
     ``"autotune/<kernel>/baseline"`` and ``"autotune/<kernel>/<variant>"``
     names, so a tuning table's rows can be drilled into line-by-line.
-    Profiled searches are never restored from (or recorded to) the outcome
-    cache: the profiles are the point.
     """
     if isinstance(kernel, str):
         kernel = parse_kernel(kernel)
     if configs is None:
         configs = enumerate_configs(kernel, block_size, device)
-    configs = list(configs)
 
     baseline = launch(
         kernel,
@@ -392,28 +226,6 @@ def autotune(
             baseline.profile,
             kernel=kernel.name,
         )
-
-    # Outcome persistence is only meaningful for reproducible, unprofiled
-    # searches: injected faults perturb the measurements and profiles are
-    # the whole point of a profiled run.
-    outcome_eligible = faults is None and not profile
-    outcome_key = (
-        _outcome_key(
-            kernel, block_size, grid, device, configs, sample_blocks,
-            recombine_unrolled, backend,
-        )
-        if outcome_eligible
-        else None
-    )
-    if reuse is None:
-        reuse = os.environ.get("GPUSIM_AUTOTUNE_REUSE", "") not in ("", "0")
-    if reuse and outcome_key is not None:
-        cached_report = _reuse_outcome(
-            outcome_key, kernel, block_size, device, configs,
-            recombine_unrolled, baseline,
-        )
-        if cached_report is not None:
-            return cached_report
 
     report = AutotuneReport(kernel_name=kernel.name, baseline=baseline)
 
@@ -453,7 +265,6 @@ def autotune(
                 )
         report.points.append(point)
 
-    _record_outcome(outcome_key, report)
     return report
 
 

@@ -19,7 +19,6 @@ developer put in the pragma (§3.6).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -29,11 +28,6 @@ import numpy as np
 
 from ..gpusim.compile import kernel_digest
 from ..gpusim.device import DeviceSpec, GTX680
-from ..gpusim.diskcache import (
-    DiskCacheStats,
-    disk_cache_stats,
-    get_disk_cache,
-)
 from ..minicuda.errors import TransformError
 from ..minicuda.nodes import (
     Block,
@@ -48,7 +42,6 @@ from ..minicuda.nodes import (
     walk,
 )
 from ..minicuda.parser import parse_kernel
-from ..minicuda.pretty import emit_kernel
 from .config import CompiledVariant, NpConfig, INTRA_WARP_SLAVE_SIZES
 from .local_arrays import (
     LocalArrayPlan,
@@ -105,9 +98,6 @@ class VariantCacheStats:
     #: as their own — see :func:`_check_variant_fork` (the same fix the
     #: compile cache got).
     pid: int = 0
-    #: Disk-tier counters for the ``variant`` namespace (zeros when no
-    #: ``GPUSIM_CACHE_DIR`` / ``cache_dir`` is active).
-    disk: DiskCacheStats = dataclasses.field(default_factory=DiskCacheStats)
 
 
 _VARIANT_CACHE: "OrderedDict[tuple, CompiledVariant]" = OrderedDict()
@@ -159,15 +149,13 @@ def _share_variant(variant: CompiledVariant) -> CompiledVariant:
 
 def variant_cache_stats() -> VariantCacheStats:
     """Per-process variant-cache counters (honest under forked processes: a
-    child's counters restart at zero, ``pid`` says whose they are) plus the
-    disk tier's ``variant``-namespace counters."""
+    child's counters restart at zero, ``pid`` says whose they are)."""
     _check_variant_fork()
     return VariantCacheStats(
         hits=_VARIANT_CACHE_STATS.hits,
         misses=_VARIANT_CACHE_STATS.misses,
         size=len(_VARIANT_CACHE),
         pid=_VARIANT_CACHE_STATS.pid,
-        disk=disk_cache_stats("variant"),
     )
 
 
@@ -177,59 +165,6 @@ def clear_variant_cache() -> None:
     _VARIANT_CACHE_STATS.hits = 0
     _VARIANT_CACHE_STATS.misses = 0
     _VARIANT_CACHE_STATS.size = 0
-
-
-def _variant_disk_key(cache_key: tuple) -> dict:
-    """JSON-able disk key carrying exactly the in-memory key's dimensions."""
-    digest, block, config, device, recombine_unrolled = cache_key
-    return {
-        "kind": "variant",
-        "digest": digest,
-        "block": list(block),
-        "config": dataclasses.asdict(config),
-        "device": dataclasses.asdict(device),
-        "recombine_unrolled": bool(recombine_unrolled),
-    }
-
-
-def _variant_from_disk(cache_key: tuple) -> Optional[CompiledVariant]:
-    """Rehydrate a variant from the disk tier (None on miss/corruption).
-
-    The payload is the pickled :class:`CompiledVariant`, AST included, so
-    the rehydrated variant emits byte-identical source (and therefore the
-    same compile digest) as the one the transform pipeline produced;
-    re-parsing the stored ``source`` text would instead inline the
-    ``#define`` constants at lex time.
-    """
-    disk = get_disk_cache()
-    if disk is None:
-        return None
-    variant = disk.get_blob("variant", _variant_disk_key(cache_key))
-    if not isinstance(variant, CompiledVariant):
-        return None
-    return variant
-
-
-def _variant_to_disk(cache_key: tuple, variant: CompiledVariant) -> None:
-    disk = get_disk_cache()
-    if disk is None:
-        return
-    try:
-        source = emit_kernel(variant.kernel)
-    except Exception:
-        source = None
-    disk.put_blob(
-        "variant",
-        _variant_disk_key(cache_key),
-        _share_variant(variant),
-        extra={
-            "kernel": variant.kernel.name,
-            "config": variant.config.describe(),
-            # Inspectable (not rehydrated from) transform output.
-            "source": source,
-            "notes": list(variant.notes),
-        },
-    )
 
 
 def compile_np(
@@ -246,11 +181,7 @@ def compile_np(
 
     Successful compilations are memoized in a digest-keyed cache shared by
     the autotuner, the oracle and direct callers (see
-    :func:`variant_cache_stats` / :func:`clear_variant_cache`).  When the
-    disk tier is active (``GPUSIM_CACHE_DIR`` / ``launch(..., cache_dir=)``)
-    an in-memory miss falls through to it: a warm process rehydrates the
-    transformed variant from disk instead of re-running the whole pipeline,
-    and fresh compilations are persisted for the next process.
+    :func:`variant_cache_stats` / :func:`clear_variant_cache`).
     """
     if isinstance(kernel, str):
         kernel = parse_kernel(kernel)
@@ -265,12 +196,6 @@ def compile_np(
             _VARIANT_CACHE.move_to_end(cache_key)
             return _share_variant(cached)
         _VARIANT_CACHE_STATS.misses += 1
-        rehydrated = _variant_from_disk(cache_key)
-        if rehydrated is not None:
-            _VARIANT_CACHE[cache_key] = _share_variant(rehydrated)
-            while len(_VARIANT_CACHE) > _VARIANT_CACHE_CAPACITY:
-                _VARIANT_CACHE.popitem(last=False)
-            return rehydrated
     kernel = clone(kernel)
     notes: list[str] = []
     const_arrays: dict[str, np.ndarray] = {}
@@ -385,7 +310,6 @@ def compile_np(
         _VARIANT_CACHE[cache_key] = _share_variant(variant)
         while len(_VARIANT_CACHE) > _VARIANT_CACHE_CAPACITY:
             _VARIANT_CACHE.popitem(last=False)
-        _variant_to_disk(cache_key, variant)
     return variant
 
 

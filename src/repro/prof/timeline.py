@@ -103,44 +103,9 @@ def build_timeline(result) -> Timeline:
     return timeline
 
 
-#: Trace thread id of the "disk cache" row (SMX rows are 0..num_smx-1; this
-#: row sits far above so new devices never collide).
-CACHE_ROW = 2000
-
-#: Trace thread id of the "serve" request-traffic row (above the cache row).
+#: Trace thread id of the "serve" request-traffic row (SMX rows are
+#: 0..num_smx-1; this row sits far above so new devices never collide).
 SERVE_ROW = 3000
-
-
-def cache_events() -> List[Dict[str, object]]:
-    """Chrome instant ("i") events for the persistent cache tier's activity.
-
-    Each :class:`~repro.gpusim.diskcache.CacheEvent` recorded since the tier
-    was activated (hits, misses, stores, evictions, corrupt-entry errors)
-    becomes a thread-scoped instant on a dedicated "disk cache" row, in host
-    microseconds relative to the first event.  Empty when the tier is
-    inactive (no ``GPUSIM_CACHE_DIR`` / ``launch(..., cache_dir=)``).
-    """
-    from ..gpusim.diskcache import cache_events as _raw_events
-
-    raw = _raw_events()
-    if not raw:
-        return []
-    t0 = min(ev.ts for ev in raw)
-    events: List[Dict[str, object]] = []
-    for ev in raw:
-        events.append(
-            {
-                "ph": "i",
-                "s": "t",
-                "pid": 0,
-                "tid": CACHE_ROW,
-                "ts": (ev.ts - t0) * 1e6,
-                "name": f"{ev.namespace}:{ev.kind}",
-                "cat": "diskcache",
-                "args": {"key": ev.key, "detail": ev.detail},
-            }
-        )
-    return events
 
 
 def serve_events() -> List[Dict[str, object]]:
@@ -150,9 +115,8 @@ def serve_events() -> List[Dict[str, object]]:
     this process (request arrivals, admissions, coalesces onto an
     in-flight launch, completions, sheds) becomes a thread-scoped instant
     on a dedicated "serve" row, in host microseconds relative to the
-    first event.  Empty when no server ran.  Imported lazily, like
-    :func:`cache_events`, so the profiler never pulls in the serve layer
-    unless it was used.
+    first event.  Empty when no server ran.  Imported lazily, so the
+    profiler never pulls in the serve layer unless it was used.
     """
     from ..serve.metrics import serve_events as _raw_events
 
@@ -183,13 +147,10 @@ def chrome_trace(result) -> Dict[str, object]:
 
     One process ("gpusim: <kernel>"), one thread row per SMX, a complete
     ("X") event per block and nested per-warp slices inside it.  All
-    timestamps are microseconds of modeled time.  When the persistent
-    cache tier is active, a "disk cache" row carries instant events for
-    its hits/misses/stores/evictions in host microseconds — see
-    :func:`cache_events`.  When a
-    kernel server handled requests in this process, a "serve" row carries
-    the request lifecycle (arrive/admit/coalesce/complete/shed) — see
-    :func:`serve_events`.
+    timestamps are microseconds of modeled time.  When a kernel server
+    handled requests in this process, a "serve" row carries the request
+    lifecycle (arrive/admit/coalesce/complete/shed) in host microseconds —
+    see :func:`serve_events`.
     """
     timeline = build_timeline(result)
     # Modeled cycles → microseconds of device time.
@@ -216,19 +177,6 @@ def chrome_trace(result) -> Dict[str, object]:
                 "args": {"name": f"SMX {smx}"},
             }
         )
-
-    cache_row = cache_events()
-    if cache_row:
-        events.append(
-            {
-                "ph": "M",
-                "pid": 0,
-                "tid": CACHE_ROW,
-                "name": "thread_name",
-                "args": {"name": "disk cache"},
-            }
-        )
-        events.extend(cache_row)
 
     serve_row = serve_events()
     if serve_row:

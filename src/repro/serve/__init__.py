@@ -2,11 +2,10 @@
 
 ``python -m repro.serve`` starts a stdlib ``ThreadingHTTPServer`` that
 accepts kernel-source + named-buffer launch requests, dedupes parsing by
-source digest through both cache tiers, coalesces identical concurrent
-requests into one launch (fanning the result back to every waiter,
-bit-identical), runs each tenant's launches in FIFO order on its own
-stream, and sheds load with ``503`` + ``Retry-After`` past its in-flight
-cap.  See :mod:`repro.serve.protocol` for the wire schema and the
+source digest, coalesces identical concurrent requests into one launch
+(fanning the result back to every waiter, bit-identical), runs each
+tenant's launches in FIFO order on its own stream, and sheds load with
+``503`` + ``Retry-After`` past its in-flight cap.  See :mod:`repro.serve.protocol` for the wire schema and the
 README's "Serving" section for a walkthrough.
 """
 

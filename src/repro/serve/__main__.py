@@ -69,10 +69,6 @@ def main(argv=None) -> int:
         help="admission cap, at least 1; excess requests get 503 + "
              "Retry-After (default: $GPUSIM_SERVE_MAX_INFLIGHT or 32)",
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="activate the persistent disk cache tier at this directory",
-    )
     args = parser.parse_args(argv)
     port, source = _setting(parser, args.port, "--port",
                             "GPUSIM_SERVE_PORT", DEFAULT_PORT)
@@ -84,12 +80,6 @@ def main(argv=None) -> int:
                                     DEFAULT_MAX_INFLIGHT)
     if max_inflight < 1:
         parser.error(f"{source} must be >= 1, got {max_inflight}")
-
-    if args.cache_dir:
-        from ..gpusim import diskcache
-
-        # Before the server forks its launch workers, so they use it too.
-        diskcache.configure(args.cache_dir)
 
     try:
         server = KernelServer((args.host, port), max_inflight=max_inflight)

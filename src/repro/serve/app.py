@@ -11,8 +11,8 @@
   CPU the server may use.
 - ``GET /healthz`` — liveness: uptime, in-flight count, counters.
 - ``GET /statz`` — the default engine and full counters: server,
-  per-tenant, batcher, kernel cache, disk cache, and the peak RSS and
-  CPU time of the server process and of each launch worker.
+  per-tenant, batcher, kernel cache, and the peak RSS and CPU time of
+  the server process and of each launch worker.
 
 Admission control happens before any simulator work: once the in-flight
 cap (``max_inflight``) is reached, requests are shed with ``503`` and
@@ -213,9 +213,6 @@ class ServeHandler(BaseHTTPRequestHandler):
                 "counters": self.server.counters.snapshot(),
             })
         elif self.path == "/statz":
-            from ..gpusim.diskcache import get_disk_cache
-
-            disk = get_disk_cache()
             self._send_json(200, {
                 # The engine a request without options.backend runs on.
                 "default_backend": default_backend(),
@@ -223,7 +220,6 @@ class ServeHandler(BaseHTTPRequestHandler):
                 "tenants": self.server.tenants.snapshot(),
                 "batcher": self.server.batcher.snapshot(),
                 "kernel_cache": self.server.kernel_cache.snapshot(),
-                "disk_cache": None if disk is None else str(disk.root),
                 "server": dict(pid=os.getpid(), **process_usage(os.getpid())),
                 "workers": self.server.workers.snapshot(),
                 "events": [

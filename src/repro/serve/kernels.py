@@ -1,12 +1,9 @@
-"""Source-digest kernel dedupe: memory LRU over the persistent disk tier.
+"""Source-digest kernel dedupe: a bounded in-memory LRU of parsed kernels.
 
 The server parses each distinct kernel source exactly once per process:
 requests are keyed by the sha256 of the *raw* source text, hitting a
 bounded in-memory LRU of parsed :class:`~repro.minicuda.nodes.Kernel`
-ASTs.  When the persistent cache tier is active
-(:func:`repro.gpusim.diskcache.get_disk_cache`), misses fall through to
-the ``"kernel"`` namespace — a pickled AST keyed by the same digest — so
-a restarted server skips re-parsing sources its predecessor served.
+ASTs.
 
 Lowering is deduplicated one layer down by
 :func:`repro.gpusim.megablock.compile_megablock`'s own digest-keyed cache,
@@ -17,9 +14,7 @@ from __future__ import annotations
 
 import collections
 import threading
-from typing import Optional
 
-from ..gpusim import diskcache
 from ..minicuda.nodes import Kernel
 from ..minicuda.parser import parse_kernel
 
@@ -27,7 +22,7 @@ _DEFAULT_CAPACITY = 128
 
 
 class KernelCache:
-    """Thread-safe source-digest → parsed-kernel cache (LRU + disk tier)."""
+    """Thread-safe source-digest → parsed-kernel LRU cache."""
 
     def __init__(self, capacity: int = _DEFAULT_CAPACITY) -> None:
         self.capacity = max(int(capacity), 1)
@@ -35,7 +30,6 @@ class KernelCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
 
     def get(self, digest: str, source: str) -> Kernel:
         """Parsed kernel for ``source`` (whose sha256 is ``digest``)."""
@@ -47,13 +41,10 @@ class KernelCache:
                 return kernel
             self.misses += 1
 
-        # Parse (or disk-load) outside the lock: concurrent first requests
-        # for the same source may both parse, but the ASTs are equivalent
-        # and last-writer-wins is harmless.
-        kernel = self._from_disk(digest)
-        if kernel is None:
-            kernel = parse_kernel(source)
-            self._to_disk(digest, kernel)
+        # Parse outside the lock: concurrent first requests for the same
+        # source may both parse, but the ASTs are equivalent and
+        # last-writer-wins is harmless.
+        kernel = parse_kernel(source)
 
         with self._lock:
             self._lru[digest] = kernel
@@ -62,22 +53,6 @@ class KernelCache:
                 self._lru.popitem(last=False)
         return kernel
 
-    def _from_disk(self, digest: str) -> Optional[Kernel]:
-        cache = diskcache.get_disk_cache()
-        if cache is None:
-            return None
-        kernel = cache.get_blob("kernel", {"source_sha256": digest})
-        if isinstance(kernel, Kernel):
-            with self._lock:
-                self.disk_hits += 1
-            return kernel
-        return None
-
-    def _to_disk(self, digest: str, kernel: Kernel) -> None:
-        cache = diskcache.get_disk_cache()
-        if cache is not None:
-            cache.put_blob("kernel", {"source_sha256": digest}, kernel)
-
     def snapshot(self) -> dict:
         with self._lock:
             return {
@@ -85,5 +60,4 @@ class KernelCache:
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
-                "disk_hits": self.disk_hits,
             }

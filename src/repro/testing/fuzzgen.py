@@ -137,7 +137,9 @@ def _icond(rng: random.Random, depth: int = 0) -> str:
 
 
 def _flit(rng: random.Random) -> str:
-    return f"{rng.choice([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0]):g}f"
+    """A float literal; ``repr`` keeps the decimal point (``1.0f``, not the
+    ``1f`` that C rejects)."""
+    return f"{rng.choice([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0])!r}f"
 
 
 def _fexpr(rng: random.Random, depth: int = 0) -> str:
@@ -162,7 +164,9 @@ def _fexpr(rng: random.Random, depth: int = 0) -> str:
 
 # ---------------------------------------------------------------------------
 # Chunk generators.  ``k`` numbers the chunk so its locals never collide
-# with another chunk's; each returns a self-contained source fragment.
+# with another chunk's; each returns a self-contained source fragment.  A
+# local is a letter prefix plus ``k``, and no prefix is ``f`` or ``v``, so
+# no chunk redeclares the prologue's ``f0`` or ``v0``.
 # ---------------------------------------------------------------------------
 
 
@@ -267,14 +271,14 @@ def _chunk_shared(rng: random.Random, k: int, block: int) -> str:
 
 def _chunk_shuffle(rng: random.Random, k: int, block: int) -> str:
     width = rng.choice([4, 8, 16, 32])
-    lines = [f"float v{k} = {_fexpr(rng)};"]
+    lines = [f"float x{k} = {_fexpr(rng)};"]
     kind = rng.randrange(3)
     if kind == 0:
-        lines.append(f"float r{k} = __shfl(v{k}, (tid + {rng.randrange(0, width)}) % {width}, {width});")
+        lines.append(f"float r{k} = __shfl(x{k}, (tid + {rng.randrange(0, width)}) % {width}, {width});")
     elif kind == 1:
-        lines.append(f"float r{k} = __shfl_down(v{k}, {rng.randrange(1, width)}, {width});")
+        lines.append(f"float r{k} = __shfl_down(x{k}, {rng.randrange(1, width)}, {width});")
     else:
-        lines.append(f"float r{k} = __shfl_up(v{k}, {rng.randrange(1, width)}, {width});")
+        lines.append(f"float r{k} = __shfl_up(x{k}, {rng.randrange(1, width)}, {width});")
     lines.append(_accum(rng, f"r{k}"))
     return "\n".join(lines)
 

@@ -13,10 +13,11 @@ range than a local ``pytest`` run:
 """
 
 import os
+import re
 
 import pytest
 
-from repro.testing.fuzzgen import BACKENDS, check, generate, minimize
+from repro.testing.fuzzgen import _PROLOGUE, BACKENDS, check, generate, minimize
 
 FUZZ_COUNT = int(os.environ.get("GPUSIM_FUZZ_COUNT", "48"))
 BASE_SEED = int(os.environ.get("GPUSIM_FUZZ_SEED", "20260808"))
@@ -58,6 +59,25 @@ def test_corpus_covers_every_feature():
         "__shfl", "atomicAdd(", "? ",
     ):
         assert feature in corpus, f"corpus never generated {feature!r}"
+
+
+def test_corpus_is_valid_cuda_c():
+    """The mini-CUDA front end accepts two things nvcc rejects, so the
+    generator must avoid them itself: a float literal without a decimal
+    point (``3f``), and a chunk redeclaring a prologue name (``float v0``
+    after the prologue's ``int v0``).  Checked over at least CI's
+    200-kernel corpus; generation is cheap."""
+    prologue = {re.match(r"\w+ (\w+)", line).group(1) for line in _PROLOGUE}
+    for offset in range(max(FUZZ_COUNT, 200)):
+        kern = generate(BASE_SEED + offset)
+        literals = re.findall(r"(?<![\w.])[\d.]+f\b", kern.source)
+        bare = [lit for lit in literals if re.fullmatch(r"\d+f", lit)]
+        assert not bare, f"seed {kern.seed}: float literals {bare}"
+        for chunk in kern.chunks:
+            declared = set(re.findall(r"\b(?:int|float)\s+(\w+)", chunk))
+            assert not declared & prologue, (
+                f"seed {kern.seed} redeclares {declared & prologue}:\n{chunk}"
+            )
 
 
 def test_corpus_reaches_both_memory_paths(mb_paths):

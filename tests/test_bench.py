@@ -96,6 +96,24 @@ def test_main_kernel_subset(tmp_path):
     assert list(report["kernels"]) == ["CFD"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kernels", "CFD", "--repeats", "0"],
+    ["--serve", "--kernels", "MC", "--tenants", "0"],
+    ["--serve", "--kernels", "MC", "--requests", "0"],
+    ["--serve", "--kernels", "MC", "--requests", "-1"],
+], ids=["repeats-0", "tenants-0", "requests-0", "requests-negative"])
+def test_counts_below_one_rejected(argv, tmp_path, capsys):
+    """A count below 1 exits 2 naming its flag before any work starts,
+    and leaves no report behind."""
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--out", str(out)])
+    assert excinfo.value.code == 2
+    flag = next(a for a in argv if a in ("--repeats", "--tenants", "--requests"))
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _fake_report(ratio, fallback=None, megawarp=True):
     return {
         "kernels": {

@@ -91,42 +91,36 @@ class TestReadme:
         assert hasattr(LaunchFuture, "result")
 
     def test_caching_section_documents_real_knobs(self):
-        """Every GPUSIM_* knob in the Caching section must be one the cache
-        tier (or the autotuner) actually reads, and the documented API
-        surface — cache_dir=, --cache-stats, the disk stats fields, the
-        autotune reuse param — must exist."""
+        """Every GPUSIM_* knob that README.md or DESIGN.md names must be
+        read somewhere under src/ or tests/, and the Caching section's
+        stats functions and bench record fields must exist."""
         import inspect
 
         from repro import bench
-        from repro.gpusim import diskcache
         from repro.gpusim.compile import compile_cache_stats
-        from repro.gpusim.launch import launch
-        from repro.npc import autotune as autotune_mod
-        from repro.npc.autotune import AutotuneReport, autotune
         from repro.npc.pipeline import variant_cache_stats
+
+        code = "\n".join(
+            path.read_text()
+            for top in ("src", "tests")
+            for path in (ROOT / top).rglob("*.py")
+            if path.resolve() != pathlib.Path(__file__).resolve()
+        )
+        for doc in ("README.md", "DESIGN.md"):
+            text = (ROOT / doc).read_text()
+            for knob in set(re.findall(r"\bGPUSIM_[A-Z0-9_]*[A-Z0-9]", text)):
+                assert knob in code, f"{doc} names {knob}, which nothing reads"
 
         readme = (ROOT / "README.md").read_text()
         assert "## Caching" in readme
         section = readme.split("## Caching", 1)[1].split("\n## ", 1)[0]
-        knob_src = inspect.getsource(diskcache) + inspect.getsource(autotune_mod)
-        for knob in re.findall(r"`(GPUSIM_[A-Z_]+)`", section):
-            assert knob in knob_src, f"{knob} documented but never read"
-        for knob in ("GPUSIM_CACHE_DIR", "GPUSIM_CACHE_MAX_ENTRIES",
-                     "GPUSIM_AUTOTUNE_REUSE"):
-            assert knob in section, f"{knob} missing from Caching section"
-        # Documented API surface.
-        assert "cache_dir" in inspect.signature(launch).parameters
-        assert "reuse" in inspect.signature(autotune).parameters
-        assert "from_cache" in AutotuneReport.__dataclass_fields__
-        assert hasattr(variant_cache_stats(), "disk")
-        assert hasattr(compile_cache_stats(), "disk")
-        # The bench flags and record fields the section leans on.
+        assert "`compile_cache_stats()`" in section
+        assert "`variant_cache_stats()`" in section
+        assert {"hits", "misses"} <= set(vars(compile_cache_stats()))
+        assert {"hits", "misses"} <= set(vars(variant_cache_stats()))
         bench_src = inspect.getsource(bench)
-        for needle in ("--cache-stats", "--cache-dir", '"np_transform"',
-                       '"variants_digest"', '"output_digest"',
-                       '"aggregate_compile_ms"'):
-            assert needle in bench_src, needle
         for column in ("np_transform", "variants_digest", "output_digest"):
+            assert f'"{column}"' in bench_src, column
             assert column in section, column
 
     def test_megablock_section_documents_real_api(self, monkeypatch):

@@ -3,9 +3,18 @@
 from repro.experiments.__main__ import main
 
 
-def test_unknown_experiment_rejected(capsys):
+def test_unknown_experiment_rejected(capsys, monkeypatch):
+    import repro.experiments.__main__ as cli
+
+    def run_all(**kwargs):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(cli, "run_all", run_all)
     assert main(["nope"]) == 2
     assert "unknown experiments" in capsys.readouterr().out
+    # An unknown flag is named and nothing runs, also next to a valid id.
+    assert main(["--bogus", "fig01"]) == 2
+    assert "unknown flags: ['--bogus']" in capsys.readouterr().out
 
 
 def test_single_fast_experiment(capsys):

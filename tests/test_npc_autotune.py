@@ -109,41 +109,3 @@ def test_launch_variant_auto_allocates_scratch():
         dict(a=rng.standard_normal(64 * 40).astype(np.float32), o=np.zeros(64, np.float32)),
     )
     assert res.kernel_name.endswith("_np")
-
-
-class TestOutcomeReuse:
-    def test_warm_reuse_restores_points(self, tmp_path, monkeypatch):
-        from repro.gpusim import diskcache
-
-        monkeypatch.delenv("GPUSIM_CACHE_DIR", raising=False)
-        diskcache.reset_configuration()
-        diskcache.configure(tmp_path)
-        try:
-            bench = TmvBenchmark(width=128, height=128, block=32)
-            configs = [
-                NpConfig(slave_size=4, np_type="inter"),
-                NpConfig(slave_size=8, np_type="inter"),
-            ]
-            cold = bench.autotune(configs=configs)
-            assert diskcache.disk_cache_stats("autotune").stores == 1
-            warm = bench.autotune(configs=configs, reuse=True)
-            assert warm.from_cache
-            assert warm.best.label == cold.best.label
-            assert warm.best.seconds == cold.best.seconds
-            assert warm.best_speedup == cold.best_speedup
-            for a, b in zip(cold.points, warm.points):
-                assert b.result is None and b.cached_seconds == a.seconds
-        finally:
-            diskcache.reset_configuration()
-
-    def test_reuse_without_cache_measures(self, monkeypatch):
-        from repro.gpusim import diskcache
-
-        monkeypatch.delenv("GPUSIM_CACHE_DIR", raising=False)
-        diskcache.reset_configuration()
-        bench = TmvBenchmark(width=128, height=128, block=32)
-        rep = bench.autotune(
-            configs=[NpConfig(slave_size=4, np_type="inter")], reuse=True
-        )
-        assert not rep.from_cache
-        assert rep.points[0].result is not None

@@ -271,56 +271,3 @@ class TestCli:
 
         assert main(["top", "--benchmark", "MV", "--limit", "3"]) == 0
         assert "cost%" in capsys.readouterr().out
-
-
-class TestCacheRow:
-    """Disk-tier activity exports as instants on a dedicated trace row."""
-
-    def test_cache_row_in_trace(self, tmp_path, monkeypatch):
-        from repro.gpusim import diskcache
-        from repro.npc.config import NpConfig
-        from repro.npc.pipeline import clear_variant_cache, compile_np
-        from repro.prof.timeline import CACHE_ROW, cache_events
-
-        np_src = """
-        __global__ void k(float* y, const float* x) {
-            int i = blockIdx.x * blockDim.x + threadIdx.x;
-            float acc = 0.0f;
-            #pragma np parallel for reduction(+:acc)
-            for (int j = 0; j < 4; j++) acc += x[(i + j) % 32];
-            y[i] = acc;
-        }
-        """
-        monkeypatch.delenv("GPUSIM_CACHE_DIR", raising=False)
-        diskcache.reset_configuration()
-        diskcache.configure(tmp_path)
-        try:
-            clear_variant_cache()
-            compile_np(np_src, 32, NpConfig(slave_size=4, np_type="inter"))
-            instants = cache_events()
-            assert instants, "disk traffic must surface as trace instants"
-            assert {ev["ph"] for ev in instants} == {"i"}
-            assert {ev["tid"] for ev in instants} == {CACHE_ROW}
-            kinds = [ev["name"] for ev in instants]
-            assert "variant:miss" in kinds and "variant:store" in kinds
-            assert min(ev["ts"] for ev in instants) == 0.0
-
-            res = profiled(backend="megablock")
-            trace = chrome_trace(res)
-            rows = [
-                ev for ev in trace["traceEvents"]
-                if ev.get("tid") == CACHE_ROW
-            ]
-            names = {ev["name"] for ev in rows if ev["ph"] == "M"}
-            assert names == {"thread_name"}
-            assert any(ev["ph"] == "i" for ev in rows)
-        finally:
-            diskcache.reset_configuration()
-
-    def test_no_row_when_inactive(self, monkeypatch):
-        from repro.gpusim import diskcache
-        from repro.prof.timeline import cache_events
-
-        monkeypatch.delenv("GPUSIM_CACHE_DIR", raising=False)
-        diskcache.reset_configuration()
-        assert cache_events() == []
