@@ -557,15 +557,22 @@ def main(argv: Optional[list] = None) -> int:
         description="Wall-clock benchmark of the simulator's two backends.",
     )
     parser.add_argument(
-        "--out", default="BENCH_gpusim.json", help="output JSON path"
+        "--out",
+        default=None,
+        help="output JSON path (default: BENCH_gpusim.json, or "
+        "BENCH_serve.json with --serve)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N timing repeats"
+        "--repeats",
+        type=int,
+        default=None,
+        help="best-of-N timing repeats (default: 3, or 1 with --quick)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help=f"CI smoke mode: kernels {', '.join(QUICK_KERNELS)}, one repeat",
+        help=f"CI smoke mode: kernels {', '.join(QUICK_KERNELS)}, one repeat "
+        "unless --repeats is given",
     )
     parser.add_argument(
         "--profile",
@@ -638,10 +645,14 @@ def main(argv: Optional[list] = None) -> int:
     unknown = [k for k in kernels if k not in BENCHMARKS]
     if unknown:
         parser.error(f"unknown kernels: {unknown}")
+    # Defaults that depend on another flag; a value given is kept as given.
+    if args.repeats is None:
+        args.repeats = 1 if args.quick else 3
+    if args.out is None:
+        args.out = "BENCH_serve.json" if args.serve else "BENCH_gpusim.json"
     for flag in ("repeats", "tenants", "requests"):
         if getattr(args, flag) < 1:
             parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    repeats = 1 if args.quick and args.repeats == 3 else args.repeats
 
     if args.serve:
         report = run_serve_bench(
@@ -651,16 +662,15 @@ def main(argv: Optional[list] = None) -> int:
             duplicate_every=args.duplicate_every,
             url=args.serve_url,
         )
-        out = args.out if args.out != "BENCH_gpusim.json" else "BENCH_serve.json"
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         print(format_serve_report(report))
-        print(f"wrote {out}")
+        print(f"wrote {args.out}")
         bad = [k for k, ok in report["verified_bit_identical"].items() if not ok]
         return 1 if bad or report["failures"] else 0
 
-    report = run_bench(kernels, repeats=repeats, profile=args.profile)
+    report = run_bench(kernels, repeats=args.repeats, profile=args.profile)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -1,8 +1,11 @@
 """AST node definitions for the mini-CUDA language.
 
-All nodes are plain dataclasses.  Transform passes produce *new* trees via
-:func:`clone` plus targeted rewrites; nothing in the compiler mutates a tree
-it does not own.
+All nodes are plain dataclasses with ``slots=True``, so a node is one
+object with no per-instance ``__dict__`` (assigning an undeclared
+attribute raises).  A node built without a location shares the one
+:data:`NO_LOC`.  Transform passes produce *new* trees via :func:`clone`
+plus targeted rewrites; nothing in the compiler mutates a tree it does not
+own.
 
 Trees are trees: no :class:`Node`, list or dict object is reachable twice
 from one root, either after parsing or after any pass.  Everything else a
@@ -11,12 +14,15 @@ str, int, float, bool, None, tuples of those), which copies share.
 :func:`clone` relies on that contract: it copies the Node/list/dict
 structure and shares the leaves.  :func:`walk` visits a tree pre-order,
 children in source order (field declaration order, list items in order).
+It reads, per node class, only the fields whose declared type can hold a
+Node or a list; dict-valued fields (``Kernel.const_env``,
+``Program.kernels``) are not descended.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import SourceLoc
 
@@ -28,7 +34,7 @@ from .errors import SourceLoc
 SCALAR_TYPES = ("void", "int", "uint", "float", "bool")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarType:
     """A scalar value type: ``int``, ``uint``, ``float``, ``bool``, ``void``."""
 
@@ -49,7 +55,7 @@ BOOL = ScalarType("bool")
 VOID = ScalarType("void")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointerType:
     """A pointer to global memory (kernel parameters) or to a local slice."""
 
@@ -59,7 +65,7 @@ class PointerType:
         return f"{self.elem}*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayType:
     """A statically sized array in a specific memory space.
 
@@ -106,41 +112,48 @@ Type = Union[ScalarType, PointerType, ArrayType]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+#: The location of every node built without one (by a pass or a
+#: :mod:`repro.minicuda.build` helper rather than the parser).  One object
+#: serves them all: ``SourceLoc`` is frozen and ``loc`` takes no part in
+#: ``==``.
+NO_LOC = SourceLoc()
+
+
+@dataclass(slots=True)
 class Node:
     """Common base so passes can test ``isinstance(x, Node)``."""
 
-    loc: SourceLoc = field(default_factory=SourceLoc, kw_only=True, compare=False)
+    loc: SourceLoc = field(default=NO_LOC, kw_only=True, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLit(Expr):
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Name(Expr):
     """A reference to a variable, parameter, or named constant."""
 
     id: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Member(Expr):
     """``base.name`` — in practice only builtin dim3 members (threadIdx.x)."""
 
@@ -148,7 +161,7 @@ class Member(Expr):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Expr):
     """``base[index]``; multi-dimensional access is a chain of Index nodes."""
 
@@ -156,7 +169,7 @@ class Index(Expr):
     index: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     """A builtin/device function call, e.g. ``sqrtf(x)`` or ``__shfl(...)``."""
 
@@ -164,27 +177,27 @@ class Call(Expr):
     args: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # '-', '+', '!', '~'
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str  # arithmetic, comparison, logical, bitwise, shifts
     lhs: Expr
     rhs: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Ternary(Expr):
     cond: Expr
     then: Expr
     els: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast(Expr):
     type: ScalarType
     expr: Expr
@@ -195,12 +208,12 @@ class Cast(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl(Stmt):
     """A single variable declaration, possibly with an initializer.
 
@@ -215,7 +228,7 @@ class VarDecl(Stmt):
     const: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Stmt):
     """``target op value`` where op is '=', '+=', '-=', '*=', '/='."""
 
@@ -224,24 +237,24 @@ class Assign(Stmt):
     value: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: Block = field(default_factory=Block)
     els: Optional[Block] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class NpPragma(Node):
     """A parsed ``#pragma np parallel for`` directive (see paper §3.6)."""
 
@@ -254,7 +267,7 @@ class NpPragma(Node):
     sm_version: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class For(Stmt):
     init: Optional[Stmt]  # VarDecl or Assign
     cond: Optional[Expr]
@@ -263,23 +276,23 @@ class For(Stmt):
     pragma: Optional[NpPragma] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: Block = field(default_factory=Block)
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Break(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Continue(Stmt):
     pass
 
@@ -289,13 +302,13 @@ class Continue(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Param(Node):
     name: str
     type: Type
 
 
-@dataclass
+@dataclass(slots=True)
 class Kernel(Node):
     """A ``__global__`` function."""
 
@@ -316,7 +329,7 @@ class Kernel(Node):
         return [p.name for p in self.params]
 
 
-@dataclass
+@dataclass(slots=True)
 class Program(Node):
     kernels: dict[str, Kernel] = field(default_factory=dict)
     defines: dict[str, str] = field(default_factory=dict)
@@ -326,18 +339,34 @@ class Program(Node):
 # Generic traversal helpers
 # ---------------------------------------------------------------------------
 
-#: Per node class: the names of its dataclass fields except ``loc``, in
-#: declaration (= source) order.  Filled on first use of each class so no
-#: visit calls :func:`dataclasses.fields`.
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+#: Per node class, filled on the class's first visit: the names of all its
+#: dataclass fields (``loc`` included), and of the fields whose declared
+#: type can hold a Node or a list, both in declaration (= source) order.
+#: Leaves such as ``Name`` and ``IntLit`` have no child fields, so a walk
+#: reads no field of theirs.
+_FIELDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
 
-def _child_fields(cls: type) -> tuple[str, ...]:
-    names = _CHILD_FIELDS.get(cls)
-    if names is None:
-        names = tuple(f.name for f in fields(cls) if f.name != "loc")
-        _CHILD_FIELDS[cls] = names
-    return names
+def _holds_children(tp) -> bool:
+    """Whether a field declared ``tp`` can hold a Node or a list (a dict
+    cannot: traversal does not descend into dicts)."""
+    origin = get_origin(tp)
+    if origin is Union:
+        return any(_holds_children(arg) for arg in get_args(tp))
+    if origin is not None:
+        return origin is list
+    return isinstance(tp, type) and issubclass(tp, (Node, list))
+
+
+def _fields(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(all fields, child fields)`` of node class ``cls``."""
+    tables = _FIELDS.get(cls)
+    if tables is None:
+        hints = get_type_hints(cls)
+        names = tuple(f.name for f in fields(cls))
+        kids = tuple(name for name in names if _holds_children(hints[name]))
+        tables = _FIELDS[cls] = (names, kids)
+    return tables
 
 
 #: The containers :func:`clone` copies; every other value is a shared leaf.
@@ -354,7 +383,9 @@ def clone(node):
     """
     if isinstance(node, Node):
         new = object.__new__(type(node))
-        new.__dict__ = clone(node.__dict__)
+        for name in _fields(type(node))[0]:
+            value = getattr(node, name)
+            setattr(new, name, clone(value) if isinstance(value, _COPIED) else value)
         return new
     if isinstance(node, list):
         return [clone(v) if isinstance(v, _COPIED) else v for v in node]
@@ -363,21 +394,22 @@ def clone(node):
     return node
 
 
-def _child_list(node: Node) -> list[Node]:
-    """The direct child nodes of ``node`` in source order."""
-    kids: list[Node] = []
-    for name in _child_fields(type(node)):
+def _push_children(stack: list, node: Node) -> None:
+    """Append the direct child nodes of ``node`` to ``stack`` in reverse
+    source order, so that popping them yields source order."""
+    for name in reversed(_fields(type(node))[1]):
         value = getattr(node, name)
         if isinstance(value, Node):
-            kids.append(value)
+            stack.append(value)
         elif isinstance(value, list):
-            kids.extend([item for item in value if isinstance(item, Node)])
-    return kids
+            stack += [item for item in reversed(value) if isinstance(item, Node)]
 
 
 def children(node: Node) -> Iterator[Node]:
     """Yield direct child nodes of ``node`` in source order."""
-    yield from _child_list(node)
+    kids: list[Node] = []
+    _push_children(kids, node)
+    yield from reversed(kids)
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -392,9 +424,7 @@ def walk(node: Node) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        kids = _child_list(node)
-        kids.reverse()
-        stack += kids
+        _push_children(stack, node)
 
 
 def names_used(node: Node) -> set[str]:
@@ -408,9 +438,11 @@ def map_expr(node, fn):
     """
     if not isinstance(node, Node):
         return node
+    names, kids = _fields(type(node))
     new = object.__new__(type(node))
-    new.__dict__.update(node.__dict__)
-    for name in _child_fields(type(node)):
+    for name in names:
+        setattr(new, name, getattr(node, name))
+    for name in kids:
         value = getattr(node, name)
         if isinstance(value, Node):
             setattr(new, name, map_expr(value, fn))

@@ -29,11 +29,13 @@ full :class:`~repro.gpusim.diagnostics.FaultReport` summary in the body.
 A worker that dies answers ``500`` naming its pid and signal.
 
 Every ``/v1/launch`` response carries a ``Server-Timing`` header with the
-server's own milliseconds per phase (``decode``, ``launch``, ``execute``,
-``encode`` and ``total``), so a client can tell time spent in the server
-from time spent on the wire.  ``execute`` is the worker's own time in
-``launch()``, so ``launch`` − ``execute`` is the wait for the tenant
-stream, a free worker and the pipe.
+server's own milliseconds per phase (``decode``, ``admit``,
+``kernel_cache``, ``launch``, ``execute``, ``encode`` and ``total``), so a
+client can tell time spent in the server from time spent on the wire.
+``admit`` is the in-flight acquire, ``coalesce_key`` and the tenant lookup;
+``kernel_cache`` is the server's parse check of the source.  ``execute`` is
+the worker's own time in ``launch()``, so ``launch`` − ``execute`` is the
+wait for the tenant stream, a free worker and the pipe.
 """
 
 from __future__ import annotations
@@ -174,6 +176,14 @@ class ServeHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to clean up
 
+    def _phase(self, name: str, since: float) -> float:
+        """Add the milliseconds from ``since`` to now to phase ``name`` (a
+        phase keeps the header position of its first addition); return
+        now, the start of the next phase."""
+        now = time.perf_counter()
+        self._phases[name] = self._phases.get(name, 0.0) + (now - since) * 1e3
+        return now
+
     def _send_json(self, code: int, obj: dict,
                    extra_headers: Optional[dict] = None) -> None:
         self._send(code, json.dumps(obj).encode(), extra_headers)
@@ -256,12 +266,14 @@ class ServeHandler(BaseHTTPRequestHandler):
             counters.bump("errors")
             self._send(400, error_body(str(exc), kind="protocol"))
             return
-        self._phases["decode"] = _ms_since(self._started)
+        mark = self._phase("decode", self._started)
         metrics.record_event("arrive", tenant=req.tenant,
                              detail=f"{len(body)}B")
 
         # Admission: bounded concurrency.
-        if not server._admission.acquire(blocking=False):
+        admitted = server._admission.acquire(blocking=False)
+        mark = self._phase("admit", mark)
+        if not admitted:
             counters.bump("shed_capacity")
             metrics.record_event("shed", tenant=req.tenant,
                                  detail="capacity")
@@ -276,28 +288,34 @@ class ServeHandler(BaseHTTPRequestHandler):
             return
 
         try:
-            self._admitted_launch(req)
+            self._admitted_launch(req, mark)
         finally:
             server._admission.release()
 
-    def _admitted_launch(self, req) -> None:
+    def _admitted_launch(self, req, mark: float) -> None:
+        """Launch an admitted request; the ``admit`` phase goes on from
+        ``mark``."""
         server = self.server
         counters = server.counters
         counters.bump("admitted")
         key = coalesce_key(req)
         metrics.record_event("admit", tenant=req.tenant, key=key)
+        mark = self._phase("admit", mark)
 
         try:
             server.kernel_cache.get(req.source_digest, req.source)
         except MiniCudaError as exc:
+            self._phase("kernel_cache", mark)
             counters.bump("errors")
             self._send(400, error_body(f"{type(exc).__name__}: {exc}",
                                        kind="protocol"))
             return
+        mark = self._phase("kernel_cache", mark)
 
         try:
             tenant = server.tenants.get(req.tenant)
         except RuntimeError as exc:  # registry closed: draining
+            self._phase("admit", mark)
             counters.bump("errors")
             self._send(503, error_body(str(exc), kind="draining"),
                        {"Retry-After": str(RETRY_AFTER_S)})
@@ -312,7 +330,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             if req.deadline_ms is not None else None
         )
 
-        started = time.perf_counter()
+        started = self._phase("admit", mark)
         try:
             # The engine is resolved here, per request: a worker's
             # environment is the server's as it stood at the fork.

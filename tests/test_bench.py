@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+import repro.bench
 from repro.bench import (
     QUICK_KERNELS,
     _compile_split,
@@ -112,6 +113,39 @@ def test_counts_below_one_rejected(argv, tmp_path, capsys):
     flag = next(a for a in argv if a in ("--repeats", "--tenants", "--requests"))
     assert f"{flag} must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, repeats", [
+    ([], 3),
+    (["--quick"], 1),
+    (["--quick", "--repeats", "3"], 3),
+    (["--repeats", "1"], 1),
+], ids=["default", "quick", "quick-repeats-3", "repeats-1"])
+def test_repeats_flag_is_honoured(argv, repeats, tmp_path, monkeypatch):
+    """``--quick`` sets one repeat only when ``--repeats`` is not given;
+    an explicit ``--repeats 3`` is not mistaken for the default."""
+    seen = []
+    monkeypatch.setattr(repro.bench, "run_bench",
+                        lambda kernels, repeats, profile: seen.append(repeats) or {})
+    monkeypatch.setattr(repro.bench, "format_report", lambda report: "")
+    assert main(argv + ["--kernels", "CFD", "--out", str(tmp_path / "b.json")]) == 0
+    assert seen == [repeats]
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["--serve"], "BENCH_serve.json"),
+    (["--serve", "--out", "BENCH_gpusim.json"], "BENCH_gpusim.json"),
+    (["--serve", "--out", "mine.json"], "mine.json"),
+], ids=["default", "out-gpusim-name", "out-other"])
+def test_serve_out_flag_is_honoured(argv, written, tmp_path, monkeypatch):
+    """``--serve`` writes ``BENCH_serve.json`` only when ``--out`` is not
+    given; an explicit ``--out BENCH_gpusim.json`` is written as named."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(repro.bench, "run_serve_bench", lambda kernels, **kw: {
+        "verified_bit_identical": {}, "failures": 0})
+    monkeypatch.setattr(repro.bench, "format_serve_report", lambda report: "")
+    assert main(argv + ["--kernels", "MC"]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == [written]
 
 
 def _fake_report(ratio, fallback=None, megawarp=True):

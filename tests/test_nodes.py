@@ -1,6 +1,7 @@
 """AST node utilities: traversal, cloning, substitution, builders."""
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.minicuda.build import (
 from repro.minicuda.errors import MiniCudaError, SourceLoc
 from repro.minicuda.parser import parse_kernel
 from repro.minicuda.pretty import emit_kernel
+from repro.npc.pipeline import compile_np, enumerate_configs
+from repro.testing.fuzzgen import generate
 
 
 def test_scalar_type_validation():
@@ -124,25 +127,77 @@ class TestBuilders:
 
 
 # ---------------------------------------------------------------------------
-# The clone/walk contract over the paper kernels and their NP variants
+# The clone/walk contract over the paper kernels, their NP variants, fuzz
+# kernels and a kernel of the unary operators
 # ---------------------------------------------------------------------------
 
 _MUTABLE = (n.Node, list, dict)
 _SHARED_LEAVES = (n.ScalarType, n.PointerType, n.ArrayType, SourceLoc)
 
+#: The first kernels of the CI fuzz sweep's base seed: they add ``While``,
+#: ``Break`` and ``Continue``, which no paper kernel has.
+FUZZ_SEEDS = range(20260808, 20260808 + 50)
 
-@pytest.fixture(scope="module", params=sorted(BENCHMARKS))
-def paper_trees(request) -> list:
-    """A paper kernel as parsed, then every compiled variant of it (padded
-    ones included)."""
-    bench = BENCHMARKS[request.param]()
-    trees = [parse_kernel(bench.source)]
-    for config in bench.configs(include_padded=True):
+#: ``BoolLit`` and every unary operator, under an NP loop so the compiled
+#: variants carry them too.
+UNARY_KERNEL = """
+__global__ void unary(float *a, int *b, int n) {
+    bool flag = true;
+    int x = b[threadIdx.x];
+    float s = 0;
+    #pragma np parallel for reduction(+:s)
+    for (int i = 0; i < n; i++) {
+        if (!flag || ~x < 0) s += -a[i];
+    }
+    a[threadIdx.x] = s;
+}
+"""
+
+#: Every Node class defined in nodes.py; the three bases are abstract.
+NODE_CLASSES = [
+    c for c in vars(n).values() if isinstance(c, type) and issubclass(c, n.Node)
+]
+CONCRETE_NODE_CLASSES = set(NODE_CLASSES) - {n.Node, n.Expr, n.Stmt}
+
+
+def _with_variants(kernel, configs, compile_variant) -> list:
+    trees = [kernel]
+    for config in configs:
         try:
-            trees.append(bench.compile_variant(config).kernel)
+            trees.append(compile_variant(config).kernel)
         except MiniCudaError:
             continue
     return trees
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus(name: str) -> list:
+    """The trees of one corpus entry: a paper kernel as parsed, then every
+    compiled variant of it (padded ones included); the fuzz kernels; or the
+    unary kernel and its variants."""
+    if name in BENCHMARKS:
+        bench = BENCHMARKS[name]()
+        return _with_variants(
+            parse_kernel(bench.source),
+            bench.configs(include_padded=True),
+            bench.compile_variant,
+        )
+    if name == "fuzz":
+        return [parse_kernel(generate(seed).source) for seed in FUZZ_SEEDS]
+    kernel = parse_kernel(UNARY_KERNEL)
+    return _with_variants(
+        kernel,
+        enumerate_configs(kernel, 32, include_padded=True),
+        lambda config: compile_np(kernel, 32, config),
+    )
+
+
+CORPUS = sorted(BENCHMARKS) + ["fuzz", "unary"]
+
+
+@pytest.fixture(scope="module", params=CORPUS)
+def corpus_trees(request) -> list:
+    return _corpus(request.param)
 
 
 def _reachable(root) -> list:
@@ -154,7 +209,8 @@ def _reachable(root) -> list:
         obj = stack.pop()
         out.append(obj)
         if isinstance(obj, n.Node):
-            stack.extend(reversed(list(vars(obj).values())))
+            values = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+            stack.extend(reversed(values))
         elif isinstance(obj, (list, tuple)):
             stack.extend(reversed(obj))
         elif isinstance(obj, dict):
@@ -175,19 +231,19 @@ def _reference_preorder(node) -> list:
 
 
 class TestTreeContract:
-    def test_no_node_reachable_twice(self, paper_trees):
-        for tree in paper_trees:
+    def test_no_node_reachable_twice(self, corpus_trees):
+        for tree in corpus_trees:
             mutable = [o for o in _reachable(tree) if isinstance(o, _MUTABLE)]
             assert len({id(o) for o in mutable}) == len(mutable), tree.name
 
-    def test_clone_equals_and_emits_same_source(self, paper_trees):
-        for tree in paper_trees:
+    def test_clone_equals_and_emits_same_source(self, corpus_trees):
+        for tree in corpus_trees:
             copy = n.clone(tree)
             assert copy == tree
             assert emit_kernel(copy) == emit_kernel(tree)
 
-    def test_clone_copies_structure_and_shares_leaves(self, paper_trees):
-        for tree in paper_trees:
+    def test_clone_copies_structure_and_shares_leaves(self, corpus_trees):
+        for tree in corpus_trees:
             source, copy = _reachable(tree), _reachable(n.clone(tree))
             assert [type(o) for o in source] == [type(o) for o in copy]
             source_ids = {id(o) for o in source if isinstance(o, _MUTABLE)}
@@ -200,8 +256,8 @@ class TestTreeContract:
             assert {type(a) for a, _ in leaves} >= {n.ScalarType, SourceLoc}
             assert all(a is b for a, b in leaves), tree.name
 
-    def test_walk_is_recursive_preorder(self, paper_trees):
-        for tree in paper_trees:
+    def test_walk_is_recursive_preorder(self, corpus_trees):
+        for tree in corpus_trees:
             got, want = list(n.walk(tree)), _reference_preorder(tree)
             assert len(got) == len(want)
             assert all(a is b for a, b in zip(got, want)), tree.name
@@ -216,3 +272,53 @@ def test_walk_descends_into_children_replaced_during_the_walk():
             node.then = n.Block([assign("z", 3)])
     assert "z" in {x.id for x in seen if isinstance(x, n.Name)}
     assert "x" not in {x.id for x in seen if isinstance(x, n.Name)}
+
+
+def test_corpus_covers_every_node_class():
+    """The contract tests above trust ``walk`` and ``clone`` on every node
+    class, so the corpus must hold each one (``Program`` is never built
+    by the parser or a pass)."""
+    seen = {
+        type(node) for key in CORPUS for tree in _corpus(key) for node in n.walk(tree)
+    }
+    assert seen == CONCRETE_NODE_CLASSES - {n.Program}
+
+
+def test_walk_does_not_descend_into_dicts():
+    """``Program.kernels`` and ``Kernel.const_env`` are dicts: ``walk``
+    yields neither their values nor anything below them."""
+    kernel = parse_kernel("__global__ void k(int *a) { a[0] = 1; }")
+    hidden = kernel.const_env["hidden"] = n.IntLit(7)
+    program = n.Program(kernels={"k": kernel})
+    assert list(n.walk(program)) == [program]
+    assert all(node is not hidden for node in n.walk(kernel))
+
+
+# ---------------------------------------------------------------------------
+# Slotted nodes: one object per node, one shared default location
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls",
+    NODE_CLASSES + [n.ScalarType, n.PointerType, n.ArrayType, SourceLoc],
+    ids=lambda cls: cls.__name__,
+)
+def test_class_is_slotted(cls):
+    """A class without ``slots=True`` would give every node a ``__dict__``
+    again, one more object per node for the garbage collector."""
+    assert "__slots__" in vars(cls)
+    assert not hasattr(object.__new__(cls), "__dict__")
+
+
+def test_nodes_built_without_a_location_share_one():
+    assert name("x").loc is n.NO_LOC
+    assert assign("x", 1).loc is n.NO_LOC
+    assert n.Block().loc is n.NO_LOC
+
+
+def test_clone_creates_no_source_loc():
+    tree = parse_kernel(BENCHMARKS["LE"]().source)
+    locs = {id(o) for o in _reachable(tree) if isinstance(o, SourceLoc)}
+    copied = [o for o in _reachable(n.clone(tree)) if isinstance(o, SourceLoc)]
+    assert copied and {id(o) for o in copied} <= locs

@@ -1,5 +1,7 @@
 """CUDA-NP pipeline tests: structure of transformed kernels + enumeration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,72 @@ class TestVariantCacheForkAccounting:
         after = variant_cache_stats()
         assert (after.hits, after.misses) == (parent.hits, parent.misses)
         assert after.pid == os.getpid()
+
+
+# ---------------------------------------------------------------------------
+# The NP compiler's full output, pinned
+# ---------------------------------------------------------------------------
+
+#: sha256 over every outcome of :func:`_compile_outcomes`, in order.
+COMPILE_FINGERPRINT = "c9fd0df341363ba1a49905aaef8bfe9c165b3b8efeebcc5f43942fd984844544"
+PLACEMENTS = ("auto", "partition", "shared", "global", "keep")
+
+
+def _compile_outcomes():
+    """Yield ``(case, outcome)`` for every paper kernel × local placement ×
+    ``recombine_unrolled`` × padded-inclusive config, each compiled cold.
+
+    ``outcome`` is the variant, or the :class:`MiniCudaError` it raised."""
+    from repro.kernels import BENCHMARKS
+    from repro.minicuda.errors import MiniCudaError
+    from repro.npc.pipeline import clear_variant_cache
+
+    for name in sorted(BENCHMARKS):
+        bench = BENCHMARKS[name]()
+        for placement in PLACEMENTS:
+            configs = bench.configs(include_padded=True, local_placement=placement)
+            for recombine in (False, True):
+                for config in configs:
+                    clear_variant_cache()
+                    case = f"{name} {recombine} {config!r}"
+                    try:
+                        yield case, compile_np(
+                            bench.kernel,
+                            bench.block_size,
+                            config,
+                            device=bench.device,
+                            recombine_unrolled=recombine,
+                        )
+                    except MiniCudaError as exc:
+                        yield case, exc
+
+
+def test_compile_outcomes_match_the_pinned_fingerprint():
+    """Every outcome of the NP compiler over its full configuration space
+    hashes to ``COMPILE_FINGERPRINT``: for a variant, its emitted source,
+    launch block, master size, notes, extra buffers and the bytes of its
+    constant arrays; for a failure, the exception's type and message.
+
+    The digest pins the compiler's output, not its speed.  A change meant
+    to alter what the compiler emits must update ``COMPILE_FINGERPRINT``
+    (and the counts) in the same change; any other change must leave it.
+    """
+    digest = hashlib.sha256()
+    variants = errors = 0
+    for case, outcome in _compile_outcomes():
+        digest.update(f"\0{case}\0".encode())
+        if isinstance(outcome, Exception):
+            errors += 1
+            digest.update(f"{type(outcome).__name__}: {outcome}".encode())
+            continue
+        variants += 1
+        digest.update(emit_kernel(outcome.kernel).encode())
+        digest.update(repr((outcome.block, outcome.master_size, outcome.notes)).encode())
+        for extra in outcome.extra_buffers:
+            digest.update(repr((extra.name, extra.type_name, extra.elems_per_block)).encode())
+        for key in sorted(outcome.const_arrays):
+            array = outcome.const_arrays[key]
+            digest.update(repr((key, array.dtype.str, array.shape)).encode())
+            digest.update(array.tobytes())
+    assert (variants, errors) == (1296, 54)
+    assert digest.hexdigest() == COMPILE_FINGERPRINT

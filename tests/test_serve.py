@@ -629,13 +629,14 @@ class TestKeepAlive:
                 name, dur = entry.strip().split(";")
                 assert dur.startswith("dur=")
                 phases[name] = float(dur[len("dur="):])
-            assert list(phases) == ["decode", "launch", "execute", "encode",
-                                    "total"]
+            assert list(phases) == ["decode", "admit", "kernel_cache",
+                                    "launch", "execute", "encode", "total"]
             assert all(ms >= 0.0 for ms in phases.values()), phases
             # The worker's own launch() time sits inside the server's wait.
             assert phases["execute"] <= phases["launch"]
-            assert phases["total"] >= (phases["decode"] + phases["launch"]
-                                       + phases["encode"])
+            assert phases["total"] >= sum(
+                phases[name] for name in
+                ("decode", "admit", "kernel_cache", "launch", "encode"))
             assert phases["total"] <= round_trip
 
 
