@@ -13,16 +13,24 @@ node holds is an immutable leaf (the frozen types, :class:`SourceLoc`,
 str, int, float, bool, None, tuples of those), which copies share.
 :func:`clone` relies on that contract: it copies the Node/list/dict
 structure and shares the leaves.  :func:`walk` visits a tree pre-order,
-children in source order (field declaration order, list items in order).
-It reads, per node class, only the fields whose declared type can hold a
-Node or a list; dict-valued fields (``Kernel.const_env``,
-``Program.kernels``) are not descended.
+children in source order (field declaration order, list items in order);
+dict-valued fields (``Kernel.const_env``, ``Program.kernels``) are not
+descended.
+
+:func:`clone`, :func:`walk`, :func:`children` and :func:`map_expr`
+dispatch on a node's exact class to straight-line functions generated for
+that class on its first visit, the way :mod:`dataclasses` generates
+``__init__``.  Their source is built from the class's field names alone,
+with the declared field types choosing each field's line, so no kernel
+text or other program input can reach it: the kernel server parses
+untrusted kernels.  A walk reads only the fields whose declared type can
+hold a Node or a list, so a visit of a leaf such as ``Name`` reads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import SourceLoc
 
@@ -339,38 +347,145 @@ class Program(Node):
 # Generic traversal helpers
 # ---------------------------------------------------------------------------
 
-#: Per node class, filled on the class's first visit: the names of all its
-#: dataclass fields (``loc`` included), and of the fields whose declared
-#: type can hold a Node or a list, both in declaration (= source) order.
-#: Leaves such as ``Name`` and ``IntLit`` have no child fields, so a walk
-#: reads no field of theirs.
-_FIELDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+
+class _ByType(dict):
+    """A traversal's function per exact value type.
+
+    A miss on a :class:`Node` class generates that class's functions for
+    all three traversals (:func:`_specialize`); a miss on any other type
+    stores ``fallback(cls)``.
+    """
+
+    __slots__ = ("fallback",)
+
+    def __init__(self, fallback) -> None:
+        super().__init__()
+        self.fallback = fallback
+
+    def __missing__(self, cls: type):
+        if issubclass(cls, Node):
+            _specialize(cls)
+            return self[cls]
+        fn = self[cls] = self.fallback(cls)
+        return fn
 
 
-def _holds_children(tp) -> bool:
-    """Whether a field declared ``tp`` can hold a Node or a list (a dict
-    cannot: traversal does not descend into dicts)."""
+def _same(value):
+    return value
+
+
+def _no_children(stack: list, value) -> None:
+    pass
+
+
+def _map_leaf(value, fn):
+    return value
+
+
+def _clone_list(items: list) -> list:
+    return [_CLONE[type(v)](v) for v in items]
+
+
+def _clone_dict(items: dict) -> dict:
+    return {k: _CLONE[type(v)](v) for k, v in items.items()}
+
+
+def _clone_fallback(cls: type):
+    if issubclass(cls, list):
+        return _clone_list
+    return _clone_dict if issubclass(cls, dict) else _same
+
+
+#: ``clone`` per type: the class's generated copy for a Node, a new
+#: container for a list or dict, the value itself for a leaf.
+_CLONE = _ByType(_clone_fallback)
+#: ``walk``'s child push per Node class; other values have no children.
+_PUSH = _ByType(lambda cls: _no_children)
+#: ``map_expr`` per Node class; other values map to themselves.
+_MAP = _ByType(lambda cls: _map_leaf)
+
+
+def _kinds(tp) -> set[str]:
+    """What a field declared ``tp`` can hold: ``"node"``, ``"list"``,
+    ``"dict"``, ``"none"``, ``"leaf"``, or ``"any"`` for a declaration that
+    names no class."""
     origin = get_origin(tp)
     if origin is Union:
-        return any(_holds_children(arg) for arg in get_args(tp))
-    if origin is not None:
-        return origin is list
-    return isinstance(tp, type) and issubclass(tp, (Node, list))
+        return set().union(*map(_kinds, get_args(tp)))
+    tp = origin or tp
+    if tp is type(None):
+        return {"none"}
+    if tp is Any or not isinstance(tp, type):
+        return {"any"}
+    for kind, base in (("node", Node), ("list", list), ("dict", dict)):
+        if issubclass(tp, base):
+            return {kind}
+    return {"leaf"}
 
 
-def _fields(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """``(all fields, child fields)`` of node class ``cls``."""
-    tables = _FIELDS.get(cls)
-    if tables is None:
-        hints = get_type_hints(cls)
-        names = tuple(f.name for f in fields(cls))
-        kids = tuple(name for name in names if _holds_children(hints[name]))
-        tables = _FIELDS[cls] = (names, kids)
-    return tables
+def _specialize(cls: type) -> None:
+    """Generate ``cls``'s clone, child push and map functions and enter
+    them in :data:`_CLONE`, :data:`_PUSH` and :data:`_MAP`.
 
-
-#: The containers :func:`clone` copies; every other value is a shared leaf.
-_COPIED = (Node, list, dict)
+    Each function is straight-line code over the class's fields, compiled
+    from a source built, like a dataclass ``__init__``, from the field
+    names alone (every one checked to be an identifier).  No kernel text
+    or other program input reaches that source, so parsing an untrusted
+    kernel cannot inject code.  A field's declared type picks its code:
+    a leaf type is shared, a Node type is copied or mapped through the
+    per-type tables and pushed unless None, a ``list[...]`` gets a new
+    list, and any other type (a dict) is copied by :func:`clone` and
+    shared by :func:`map_expr`; neither ``walk`` nor ``map_expr`` descends
+    into it.
+    """
+    hints = get_type_hints(cls)
+    copy, pushes, mapped = [], [], []
+    for f in fields(cls):
+        name = f.name
+        if not name.isidentifier():
+            raise TypeError(f"{cls.__name__} field {name!r} is not an identifier")
+        tp = hints[name]
+        kinds = _kinds(tp)
+        value = f"node.{name}"
+        if kinds <= {"leaf", "none"}:
+            copy.append(f"new.{name} = {value}")
+            mapped.append(f"new.{name} = {value}")
+        elif kinds == {"list"}:
+            copy.append(f"new.{name} = [C[type(x)](x) for x in {value}]")
+            mapped.append(f"new.{name} = [M[type(x)](x, fn) for x in {value}]")
+            item = get_args(tp)
+            if not item or _kinds(item[0]) & {"node", "any"}:
+                pushes.append(
+                    [f"stack += [x for x in reversed({value}) if isinstance(x, Node)]"]
+                )
+        elif kinds <= {"node", "none"}:
+            keep = "v if v is None else " if "none" in kinds else ""
+            copy += [f"v = {value}", f"new.{name} = {keep}C[type(v)](v)"]
+            mapped += [f"v = {value}", f"new.{name} = {keep}M[type(v)](v, fn)"]
+            pushes.append([f"v = {value}", "if v is not None:", "    stack.append(v)"])
+        elif kinds & {"node", "list"}:
+            raise TypeError(f"{cls.__name__}.{name}: cannot traverse {tp!r}")
+        else:
+            copy += [f"v = {value}", f"new.{name} = C[type(v)](v)"]
+            mapped.append(f"new.{name} = {value}")
+    push = [line for lines in reversed(pushes) for line in lines] or ["pass"]
+    result = "fn(new)" if issubclass(cls, Expr) else "new"
+    source = "\n".join(
+        ["def clone(node):", "    new = new_(cls)"]
+        + [f"    {line}" for line in copy]
+        + ["    return new", "def push(stack, node):"]
+        + [f"    {line}" for line in push]
+        + ["def map_expr(node, fn):", "    new = new_(cls)"]
+        + [f"    {line}" for line in mapped]
+        + [f"    return {result}"]
+    )
+    namespace = {
+        "cls": cls, "new_": object.__new__, "C": _CLONE, "M": _MAP, "Node": Node
+    }
+    exec(compile(source, f"<traversal of {cls.__qualname__}>", "exec"), namespace)
+    _CLONE[cls] = namespace["clone"]
+    _PUSH[cls] = namespace["push"]
+    _MAP[cls] = namespace["map_expr"]
 
 
 def clone(node):
@@ -381,34 +496,13 @@ def clone(node):
     module docstring).  The source tree has no shared subtrees, so neither
     does the copy.
     """
-    if isinstance(node, Node):
-        new = object.__new__(type(node))
-        for name in _fields(type(node))[0]:
-            value = getattr(node, name)
-            setattr(new, name, clone(value) if isinstance(value, _COPIED) else value)
-        return new
-    if isinstance(node, list):
-        return [clone(v) if isinstance(v, _COPIED) else v for v in node]
-    if isinstance(node, dict):
-        return {k: clone(v) if isinstance(v, _COPIED) else v for k, v in node.items()}
-    return node
-
-
-def _push_children(stack: list, node: Node) -> None:
-    """Append the direct child nodes of ``node`` to ``stack`` in reverse
-    source order, so that popping them yields source order."""
-    for name in reversed(_fields(type(node))[1]):
-        value = getattr(node, name)
-        if isinstance(value, Node):
-            stack.append(value)
-        elif isinstance(value, list):
-            stack += [item for item in reversed(value) if isinstance(item, Node)]
+    return _CLONE[type(node)](node)
 
 
 def children(node: Node) -> Iterator[Node]:
     """Yield direct child nodes of ``node`` in source order."""
     kids: list[Node] = []
-    _push_children(kids, node)
+    _PUSH[type(node)](kids, node)
     yield from reversed(kids)
 
 
@@ -420,11 +514,12 @@ def walk(node: Node) -> Iterator[Node]:
     that node, so a caller may replace the visited node's child fields
     (``body``, ``stmts``, ...) and the walk descends into the new children.
     """
+    push = _PUSH
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
-        _push_children(stack, node)
+        push[type(node)](stack, node)
 
 
 def names_used(node: Node) -> set[str]:
@@ -435,26 +530,12 @@ def names_used(node: Node) -> set[str]:
 def map_expr(node, fn):
     """Return a copy of ``node`` with every :class:`Expr` descendant replaced
     by ``fn(expr)`` (applied bottom-up).  ``fn`` must return an Expr.
+
+    The copy's nodes and list fields are new; its other fields, dicts
+    included, are shared with ``node``.  A value that is not a Node is
+    returned as it is.
     """
-    if not isinstance(node, Node):
-        return node
-    names, kids = _fields(type(node))
-    new = object.__new__(type(node))
-    for name in names:
-        setattr(new, name, getattr(node, name))
-    for name in kids:
-        value = getattr(node, name)
-        if isinstance(value, Node):
-            setattr(new, name, map_expr(value, fn))
-        elif isinstance(value, list):
-            setattr(
-                new,
-                name,
-                [map_expr(v, fn) if isinstance(v, Node) else v for v in value],
-            )
-    if isinstance(new, Expr):
-        new = fn(new)
-    return new
+    return _MAP[type(node)](node, fn)
 
 
 def substitute(node, mapping: dict[str, Expr]):

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
+from ..gpusim.device import GTX680
 from ..minicuda.errors import MiniCudaError
 from ..minicuda.pretty import emit_kernel
 from .config import NpConfig
@@ -116,13 +118,28 @@ def _run_verify(source: str, args) -> int:
     return 0 if report.ok else 1
 
 
+def _read_source(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as handle:
+        return handle.read()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    source = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    try:
+        source = _read_source(args.input)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot read {args.input}: {reason}", file=sys.stderr)
+        return 1
 
     try:
         if args.list:
-            for config in enumerate_configs(source, args.block):
+            device = replace(GTX680, sm_version=args.sm)
+            for config in enumerate_configs(
+                source, args.block, device, local_placement=args.local
+            ):
                 print(config.describe())
             return 0
         if args.verify:

@@ -2,9 +2,14 @@
 
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
+from typing import Optional
 
 import pytest
 
+import repro
 from repro.kernels import BENCHMARKS
 from repro.minicuda import nodes as n
 from repro.minicuda.build import (
@@ -218,16 +223,49 @@ def _reachable(root) -> list:
     return out
 
 
-def _reference_preorder(node) -> list:
-    out = [node]
+def _reference_children(node) -> list:
+    out = []
     for f in dataclasses.fields(node):
         if f.name == "loc":
             continue
         value = getattr(node, f.name)
         for item in value if isinstance(value, list) else [value]:
             if isinstance(item, n.Node):
-                out.extend(_reference_preorder(item))
+                out.append(item)
     return out
+
+
+def _reference_preorder(node) -> list:
+    out = [node]
+    for kid in _reference_children(node):
+        out.extend(_reference_preorder(kid))
+    return out
+
+
+def _reference_expr_postorder(node) -> list:
+    """The Exprs below ``node`` in the order ``map_expr`` hands them to its
+    callback: each after its children, children in source order."""
+    out = []
+    for kid in _reference_children(node):
+        out.extend(_reference_expr_postorder(kid))
+    if isinstance(node, n.Expr):
+        out.append(node)
+    return out
+
+
+def _identical(got: list, want: list) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def _map_recording(tree) -> tuple:
+    """``map_expr(tree, identity)`` and the Exprs its callback saw."""
+    seen = []
+
+    def record(expr):
+        seen.append(expr)
+        return expr
+
+    return n.map_expr(tree, record), seen
 
 
 class TestTreeContract:
@@ -261,6 +299,38 @@ class TestTreeContract:
             got, want = list(n.walk(tree)), _reference_preorder(tree)
             assert len(got) == len(want)
             assert all(a is b for a, b in zip(got, want)), tree.name
+
+    def test_children_in_source_order(self, corpus_trees):
+        for tree in corpus_trees:
+            for node in n.walk(tree):
+                assert _identical(list(n.children(node)), _reference_children(node))
+
+    def test_map_expr_identity_equals_and_emits_same_source(self, corpus_trees):
+        for tree in corpus_trees:
+            copy = n.map_expr(tree, lambda expr: expr)
+            assert copy == tree
+            assert emit_kernel(copy) == emit_kernel(tree)
+
+    def test_map_expr_copies_nodes_and_lists_and_shares_leaves(self, corpus_trees):
+        new = (n.Node, list)
+        for tree in corpus_trees:
+            source = _reachable(tree)
+            copy = _reachable(n.map_expr(tree, lambda expr: expr))
+            assert [type(o) for o in source] == [type(o) for o in copy]
+            source_ids = {id(o) for o in source if isinstance(o, new)}
+            assert not any(
+                id(o) in source_ids for o in copy if isinstance(o, new)
+            ), tree.name
+            leaves = [
+                (a, b) for a, b in zip(source, copy) if isinstance(a, _SHARED_LEAVES)
+            ]
+            assert leaves and all(a is b for a, b in leaves), tree.name
+
+    def test_map_expr_calls_back_once_per_expr_children_first(self, corpus_trees):
+        for tree in corpus_trees:
+            copy, seen = _map_recording(tree)
+            assert _identical(seen, _reference_expr_postorder(copy)), tree.name
+            assert seen == _reference_expr_postorder(tree)
 
 
 def test_walk_descends_into_children_replaced_during_the_walk():
@@ -322,3 +392,71 @@ def test_clone_creates_no_source_loc():
     locs = {id(o) for o in _reachable(tree) if isinstance(o, SourceLoc)}
     copied = [o for o in _reachable(n.clone(tree)) if isinstance(o, SourceLoc)]
     assert copied and {id(o) for o in copied} <= locs
+
+
+# ---------------------------------------------------------------------------
+# Per-class traversal functions
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(slots=True)
+class Clamp(n.Expr):
+    """An Expr class declared outside nodes.py, with a Node field, an
+    optional one, a list of nodes and a leaf."""
+
+    value: n.Expr
+    bounds: list[n.Expr]
+    fallback: Optional[n.Expr] = None
+    mode: str = "sat"
+
+
+@dataclasses.dataclass(slots=True)
+class TaggedBinary(n.Binary):
+    """A subclass of a nodes.py class: it needs functions of its own, or a
+    copy would lose its type and its ``tag``."""
+
+    tag: str = ""
+
+
+def test_node_classes_declared_elsewhere_are_traversed_alike():
+    n.clone(add(1, 2))  # Binary's functions exist before TaggedBinary's
+    clamp = Clamp(add(name("x"), 1), [e(0), e("hi")], mode="wrap")
+    tagged = TaggedBinary("*", clamp, name("y"), tag="t")
+    tree = block(assign("z", tagged), n.ExprStmt(Clamp(name("w"), [], e("x"))))
+
+    assert _identical(list(n.walk(tree)), _reference_preorder(tree))
+    assert _identical(list(n.children(clamp)), _reference_children(clamp))
+
+    copy = n.clone(tree)
+    assert copy == tree
+    source, copied = _reachable(tree), _reachable(copy)
+    assert [type(o) for o in source] == [type(o) for o in copied]
+    source_ids = {id(o) for o in source if isinstance(o, _MUTABLE)}
+    assert not any(id(o) in source_ids for o in copied if isinstance(o, _MUTABLE))
+    assert all(a is b for a, b in zip(source, copied) if isinstance(a, str))
+    assert type(copy.stmts[0].value) is TaggedBinary
+    assert copy.stmts[0].value.tag == "t"
+
+    mapped, seen = _map_recording(tree)
+    assert mapped == tree
+    assert _identical(seen, _reference_expr_postorder(mapped))
+    assert {type(x) for x in seen} >= {Clamp, TaggedBinary}
+
+    out = n.substitute(tree, {"x": n.IntLit(5)})
+    assert "x" not in n.names_used(out) and "x" in n.names_used(tree)
+
+
+def test_import_generates_no_traversal_function():
+    """Each class's functions are generated on its first visit, never at
+    import, so a process that parses nothing pays nothing for them."""
+    code = (
+        "import repro.minicuda.nodes as n, repro.npc.pipeline\n"
+        "print(len(n._CLONE), len(n._PUSH), len(n._MAP))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert done.stdout.split() == ["0", "0", "0"]

@@ -59,6 +59,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert "inter-warp" in out and "intra-warp" in out
 
+    def test_list_honours_sm_and_local(self, tmp_path, capsys):
+        """``--list`` enumerates for the ``--sm`` target and the ``--local``
+        placement: on sm_20 no intra-warp variant may use ``__shfl``."""
+        from repro.kernels import BENCHMARKS
+
+        path = tmp_path / "lib.cu"
+        path.write_text(BENCHMARKS["LIB"]().source)
+        argv = [str(path), "--block", "32", "--sm", "20", "--local", "shared"]
+        assert main(argv + ["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        intra = [line for line in lines if line.startswith("intra-warp")]
+        assert intra and all(" smem " in line for line in intra)
+        assert all(line.endswith(" local=shared") for line in lines)
+        intra_smem = ["--np-type", "intra", "--slave-size", "2", "--no-shfl"]
+        assert main(argv + intra_smem) == 0
+        assert "__shfl" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_input_is_a_one_line_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "kernel.cu"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe__global__")
+        assert main([str(path), "--block", "32"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
     def test_notes(self, kernel_file, capsys):
         main([kernel_file, "--block", "64", "--notes"])
         out = capsys.readouterr().out
