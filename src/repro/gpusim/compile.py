@@ -17,20 +17,21 @@ import:
 * the three kernel analyses the launch ladder consults
   (:func:`kernel_uses_atomics`, :func:`kernel_flatten_safe`,
   :func:`kernel_atomic_order_free`);
-* :func:`kernel_digest` and the digest-keyed LRU that makes lowering a
-  once-per-source cost shared by ``launch()``, the autotuner and the oracle.
+* :func:`kernel_digest` and the digest-keyed lowering cache, a locked
+  :class:`~repro.lru.LRU` of 128 entries that makes lowering a
+  once-per-source cost shared by ``launch()``, the autotuner and the oracle
+  (:func:`compile_cache_stats`, :func:`clear_compile_cache`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from ..lru import LRU
 from ..minicuda.nodes import (
     ArrayType,
     Assign,
@@ -441,54 +442,14 @@ class CompileCacheStats:
     hits: int = 0
     misses: int = 0
     size: int = 0
-    #: Process the counters belong to.  Forked processes inherit the
-    #: parent's cache through copy-on-write but must not inherit its
-    #: hit/miss history as their own — see :func:`_check_fork`.
-    pid: int = 0
     #: Live cache entries broken down by lowering variant: plain artifacts
     #: (``base``) and profiled ones (``prof``, cache keys carrying the
     #: ``#prof`` suffix).
     variants: dict = field(default_factory=dict)
 
 
-_CACHE: "OrderedDict[str, object]" = OrderedDict()
-_CACHE_CAPACITY = 128
-_CACHE_STATS = CompileCacheStats(pid=os.getpid())
-
-
-def _check_fork() -> None:
-    """Keep cache accounting honest across ``fork``.
-
-    A forked process inherits the parent's cache *contents* (copy-on-write
-    artifacts genuinely serve hits in the child, so they stay) and also the
-    parent's ``_CACHE_STATS`` counters — which would silently report the
-    parent's compile history as the child's own.  On first cache use in a
-    new process the counters restart at zero under the child's pid.
-    """
-    pid = os.getpid()
-    if pid != _CACHE_STATS.pid:
-        _CACHE_STATS.pid = pid
-        _CACHE_STATS.hits = 0
-        _CACHE_STATS.misses = 0
-
-
-def _cache_get(key: str):
-    """LRU lookup; hit/miss accounting stays in one place."""
-    _check_fork()
-    cached = _CACHE.get(key)
-    if cached is not None:
-        _CACHE_STATS.hits += 1
-        _CACHE.move_to_end(key)
-        return cached
-    _CACHE_STATS.misses += 1
-    return None
-
-
-def _cache_put(key: str, artifact) -> None:
-    _CACHE[key] = artifact
-    while len(_CACHE) > _CACHE_CAPACITY:
-        _CACHE.popitem(last=False)
-    _CACHE_STATS.size = len(_CACHE)
+#: Megablock lowerings by kernel digest (``#prof`` suffixed when profiled).
+_LOWERING_CACHE = LRU(128)
 
 
 def compile_kernel(kernel: Kernel, cache: bool = True, profile: bool = False):
@@ -501,25 +462,16 @@ def compile_kernel(kernel: Kernel, cache: bool = True, profile: bool = False):
 
 
 def compile_cache_stats() -> CompileCacheStats:
-    """Per-process cache counters (honest under forked processes: a child's
-    counters restart at zero, its ``pid`` field says whose they are)."""
-    _check_fork()
-    _CACHE_STATS.size = len(_CACHE)
-    variants = {"base": 0, "prof": 0}
-    for key in _CACHE:
-        variants["prof" if key.endswith("#prof") else "base"] += 1
+    """This process's lowering-cache counters and entries per variant."""
+    keys = _LOWERING_CACHE.keys()
+    prof = sum(key.endswith("#prof") for key in keys)
     return CompileCacheStats(
-        hits=_CACHE_STATS.hits,
-        misses=_CACHE_STATS.misses,
-        size=len(_CACHE),
-        pid=_CACHE_STATS.pid,
-        variants=variants,
+        hits=_LOWERING_CACHE.hits,
+        misses=_LOWERING_CACHE.misses,
+        size=len(keys),
+        variants={"base": len(keys) - prof, "prof": prof},
     )
 
 
 def clear_compile_cache() -> None:
-    _check_fork()
-    _CACHE.clear()
-    _CACHE_STATS.hits = 0
-    _CACHE_STATS.misses = 0
-    _CACHE_STATS.size = 0
+    _LOWERING_CACHE.clear()

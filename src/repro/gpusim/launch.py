@@ -112,7 +112,8 @@ class LaunchResult:
     #: at a time on the interp reference engine instead of as one batch;
     #: None when batching ran or interp was selected.  One of: "trace",
     #: "faults", "sanitizer" (the launch needs a per-block hook that only
-    #: the interpreter implements), "atomic-order" (the kernel uses atomics
+    #: the interpreter implements; racecheck, initcheck and synccheck all
+    #: report this one), "atomic-order" (the kernel uses atomics
     #: but cannot flatten the warp axis, so the batch could not reproduce
     #: sequential atomic order — see
     #: :func:`~repro.gpusim.megablock.megablock_flatten`), "sim-fault" (the
@@ -222,7 +223,9 @@ def launch(
     active at each ``__syncthreads``, and all warps must wait at the same
     textual barrier.  The default matches pre-Volta hardware, where a
     warp's arrival at any barrier counts — behaviour the paper's generated
-    master/slave kernels (barriers under divergent ``if``) depend on.
+    master/slave kernels (barriers under divergent ``if``) depend on.  Only
+    the interpreter implements the check, so a synccheck launch runs one
+    block at a time (``megablock_fallback="sanitizer"``).
 
     ``racecheck=True`` / ``initcheck=True`` run the launch under the
     :mod:`~repro.gpusim.racecheck` sanitizer (the analogues of
@@ -351,19 +354,19 @@ def launch(
             block_ids = list(range(total_blocks))
 
         # Megablock eligibility: anything needing per-block interpreter
-        # hooks (trace, fault injection, sanitizers) runs per block on
-        # interp; the reason is observable on the result.  Atomics are
-        # batch-safe since the deterministic sort-by-address fold, but only
-        # under the flattened (megawarp) row order — when a kernel uses
-        # atomics and this launch cannot flatten, it falls back with reason
-        # "atomic-order".
+        # hooks (trace, fault injection, sanitizers, synccheck) runs per
+        # block on interp; the reason is observable on the result.  Atomics
+        # are batch-safe since the deterministic sort-by-address fold, but
+        # only under the flattened (megawarp) row order — when a kernel
+        # uses atomics and this launch cannot flatten, it falls back with
+        # reason "atomic-order".
         mega_program = None
         if program is not None:
             if trace:
                 megablock_fallback = "trace"
             elif faults is not None:
                 megablock_fallback = "faults"
-            elif sanitizer is not None:
+            elif sanitizer is not None or synccheck:
                 megablock_fallback = "sanitizer"
             elif program.uses_atomics and not (
                 program.atomics_exact
@@ -371,7 +374,6 @@ def launch(
                     program,
                     scaffold.num_warps,
                     bool(scaffold.shared_decls),
-                    synccheck,
                 )
             ):
                 megablock_fallback = "atomic-order"
@@ -407,7 +409,6 @@ def launch(
                     base_env,
                     mb_stats,
                     mega_program,
-                    synccheck=synccheck,
                     scaffold=scaffold,
                     profile=mb_prof,
                 )

@@ -106,9 +106,8 @@ from ..minicuda.nodes import (
 from ..prof.counters import KernelProfile, LineCounters, _line_of
 from .compile import (
     FAST_BINARY_IMPLS,
+    _LOWERING_CACHE,
     _and_not,
-    _cache_get,
-    _cache_put,
     _compile_literal,
     _compile_name,
     _has_flow,
@@ -667,7 +666,6 @@ class MegaContext:
         "returned",
         "loop_stack",
         "stats",
-        "synccheck",
         "profile",
         "atomics_ok",
         "current_loc",
@@ -685,7 +683,6 @@ class MegaContext:
         stats,
         nblocks: int,
         warp_idx: int = 0,
-        synccheck: bool = False,
         profile: Optional[MegaProfile] = None,
         atomics_ok: bool = False,
     ):
@@ -704,7 +701,6 @@ class MegaContext:
         self.returned = np.zeros(init_mask.shape, dtype=bool)
         self.loop_stack: List[_MbLoopFrame] = []
         self.stats = stats
-        self.synccheck = synccheck
         self.profile = profile
         # Only the flattened (megawarp) run order equals sequential atomic
         # order; the per-warp-slot schedule issues warp-major across blocks.
@@ -1536,15 +1532,6 @@ def _mb_sync(stmt: ExprStmt) -> StmtFn:
         ctx.stats.syncthreads += ctx.rows(mask)
         if ctx.profile is not None:
             ctx.profile.sync_rows(line, ctx.rows(mask))
-        if ctx.synccheck:
-            # See interp.exec_stmt for the synccheck/hardware semantics note.
-            expected = ctx.init_mask & ~ctx.returned
-            missing = expected & ~mask
-            if missing.any():
-                raise SyncError(
-                    "__syncthreads reached by only part of the thread block "
-                    "(megablock batch)",
-                )
         yield ("sync", line)
 
     return sync
@@ -2081,7 +2068,7 @@ def _mb_lower(
 
 
 def megablock_flatten(
-    program: MegaKernel, num_warps: int, has_shared: bool, synccheck: bool
+    program: MegaKernel, num_warps: int, has_shared: bool
 ) -> bool:
     """Can this launch fold the warp axis into the batch (megawarp)?
 
@@ -2089,8 +2076,6 @@ def megablock_flatten(
     warps, flattening replaces the per-warp-slot round-robin with statement
     lockstep over ``(blocks × warps)`` rows, which is exact unless:
 
-    * ``synccheck`` — the partial-barrier check compares arrival masks per
-      warp slot and would lose its per-slot granularity;
     * a ``__syncthreads`` sits under an ``if`` (``flatten_safe`` is false) —
       pre-Volta master/slave kernels depend on the round-robin schedule;
     * shared memory is used without any barrier — cross-warp shared traffic
@@ -2104,8 +2089,6 @@ def megablock_flatten(
     """
     if num_warps <= 1:
         return True
-    if synccheck:
-        return False
     if not program.flatten_safe:
         return False
     if has_shared and not program.has_barriers:
@@ -2127,11 +2110,11 @@ def compile_megablock(
     if digest is None:
         return _mb_lower(kernel, None, profile)
     key = digest + "#prof" if profile else digest
-    cached = _cache_get(key)
+    cached = _LOWERING_CACHE.get(key)
     if cached is not None:
         return cached
     compiled = _mb_lower(kernel, digest, profile)
-    _cache_put(key, compiled)
+    _LOWERING_CACHE.put(key, compiled)
     return compiled
 
 
@@ -2160,7 +2143,6 @@ class MegablockExecutor:
         base_env: dict,
         stats,
         program: MegaKernel,
-        synccheck: bool = False,
         scaffold: Optional[WarpScaffold] = None,
         profile: Optional[MegaProfile] = None,
     ):
@@ -2171,7 +2153,6 @@ class MegablockExecutor:
         self.base_env = base_env
         self.stats = stats
         self.program = program
-        self.synccheck = synccheck
         self.profile = profile
         if scaffold is None:
             scaffold = WarpScaffold(kernel, block_dim, grid_dim)
@@ -2214,7 +2195,7 @@ class MegablockExecutor:
             offset += arr.nbytes
             self.shared[decl.name] = arr
         self.flatten = megablock_flatten(
-            program, scaffold.num_warps, bool(self.shared), synccheck
+            program, scaffold.num_warps, bool(self.shared)
         )
         if self.flatten and scaffold.num_warps > 1:
             # Batch rows become (block, warp) pairs, block-major; all warps
@@ -2331,7 +2312,6 @@ class MegablockExecutor:
             self.stats,
             nrows,
             warp_idx=0,
-            synccheck=self.synccheck,
             profile=self.profile,
             # The launch ladder only admits atomic kernels whose batched
             # order is provably exact; honour the same analysis here so a
@@ -2358,14 +2338,12 @@ class MegablockExecutor:
                 self.stats,
                 nblocks,
                 warp_idx=w,
-                synccheck=self.synccheck,
                 profile=self.profile,
             )
             gen = self.program.warp_iterator(ctx, init_mask)
             alive.append((ctx, gen))
         while alive:
             still_alive = []
-            arrivals: List[int] = []
             for ctx, gen in alive:
                 try:
                     event = next(gen)
@@ -2375,13 +2353,5 @@ class MegablockExecutor:
                     raise SyncError(
                         f"unexpected warp event {event!r}"
                     )  # pragma: no cover - defensive
-                arrivals.append(event[1])
                 still_alive.append((ctx, gen))
-            if arrivals and self.synccheck:
-                lines = sorted(set(arrivals))
-                if len(lines) > 1:
-                    raise SyncError(
-                        "warps arrived at different __syncthreads barriers "
-                        f"(source lines {lines})"
-                    )
             alive = still_alive

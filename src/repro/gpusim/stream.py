@@ -8,7 +8,9 @@ needed.  This module gives the simulator the same shape:
   :class:`LaunchFuture`;
 - a :class:`Stream` executes its queued launches strictly in FIFO order on a
   dedicated worker thread (launches on *different* streams may interleave,
-  exactly like CUDA streams);
+  exactly like CUDA streams); the thread exits once the queue has stayed
+  empty for :data:`IDLE_LINGER_S`, and the next enqueue starts another, so
+  an idle stream holds no thread;
 - ``stream.synchronize()`` blocks until every launch enqueued so far has
   completed, and ``future.result()`` blocks for (and returns) one specific
   :class:`~repro.gpusim.launch.LaunchResult`;
@@ -47,6 +49,10 @@ from typing import Callable, List, Optional
 
 from .errors import LaunchError
 from .launch import LaunchResult, launch
+
+#: Seconds a stream's thread waits on an empty queue before it exits; the
+#: stream's next enqueue starts a fresh thread.
+IDLE_LINGER_S = 1.0
 
 
 class LaunchFuture:
@@ -243,7 +249,17 @@ class Stream:
 
     def _run(self) -> None:
         while True:
-            item = self._queue.get()
+            try:
+                item = self._queue.get(timeout=IDLE_LINGER_S)
+            except queue.Empty:
+                # Decided under the lock that every enqueue takes, so an
+                # enqueue either lands before this check or finds no
+                # thread and starts a fresh one.
+                with self._lock:
+                    if self._queue.empty():
+                        self._thread = None
+                        return
+                continue
             if item is None:
                 return
             kind = item[0]

@@ -15,12 +15,15 @@
 ``enumerate_configs`` produces the variant space the auto-tuner explores
 (§4), honouring any ``num_threads``/``np_type``/``sm_version`` clauses the
 developer put in the pragma (§3.6).
+
+Compiled variants are memoized per process in a locked
+:class:`~repro.lru.LRU` of 256 entries, keyed by kernel digest, block
+shape, config, device and transform options (:func:`variant_cache_stats`,
+:func:`clear_variant_cache`).
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -28,6 +31,7 @@ import numpy as np
 
 from ..gpusim.compile import kernel_digest
 from ..gpusim.device import DeviceSpec, GTX680
+from ..lru import LRU
 from ..minicuda.errors import TransformError
 from ..minicuda.nodes import (
     Block,
@@ -93,27 +97,10 @@ class VariantCacheStats:
     hits: int = 0
     misses: int = 0
     size: int = 0
-    #: Process the counters belong to.  Forked processes inherit the parent's
-    #: cache through copy-on-write but must not inherit its hit/miss history
-    #: as their own — see :func:`_check_variant_fork` (the same fix the
-    #: compile cache got).
-    pid: int = 0
 
 
-_VARIANT_CACHE: "OrderedDict[tuple, CompiledVariant]" = OrderedDict()
-_VARIANT_CACHE_CAPACITY = 256
-_VARIANT_CACHE_STATS = VariantCacheStats(pid=os.getpid())
-
-
-def _check_variant_fork() -> None:
-    """Reset the counters on first use in a forked child: copy-on-write
-    cache *contents* genuinely serve hits there, but the parent's hit/miss
-    history is not the child's."""
-    pid = os.getpid()
-    if pid != _VARIANT_CACHE_STATS.pid:
-        _VARIANT_CACHE_STATS.pid = pid
-        _VARIANT_CACHE_STATS.hits = 0
-        _VARIANT_CACHE_STATS.misses = 0
+#: Compiled variants by :func:`_variant_cache_key`.
+_VARIANT_CACHE = LRU(256)
 
 
 def _variant_cache_key(
@@ -148,23 +135,16 @@ def _share_variant(variant: CompiledVariant) -> CompiledVariant:
 
 
 def variant_cache_stats() -> VariantCacheStats:
-    """Per-process variant-cache counters (honest under forked processes: a
-    child's counters restart at zero, ``pid`` says whose they are)."""
-    _check_variant_fork()
+    """This process's variant-cache counters and size."""
     return VariantCacheStats(
-        hits=_VARIANT_CACHE_STATS.hits,
-        misses=_VARIANT_CACHE_STATS.misses,
+        hits=_VARIANT_CACHE.hits,
+        misses=_VARIANT_CACHE.misses,
         size=len(_VARIANT_CACHE),
-        pid=_VARIANT_CACHE_STATS.pid,
     )
 
 
 def clear_variant_cache() -> None:
-    _check_variant_fork()
     _VARIANT_CACHE.clear()
-    _VARIANT_CACHE_STATS.hits = 0
-    _VARIANT_CACHE_STATS.misses = 0
-    _VARIANT_CACHE_STATS.size = 0
 
 
 def compile_np(
@@ -189,13 +169,9 @@ def compile_np(
         kernel, block_size, config, device, recombine_unrolled
     )
     if cache_key is not None:
-        _check_variant_fork()
         cached = _VARIANT_CACHE.get(cache_key)
         if cached is not None:
-            _VARIANT_CACHE_STATS.hits += 1
-            _VARIANT_CACHE.move_to_end(cache_key)
             return _share_variant(cached)
-        _VARIANT_CACHE_STATS.misses += 1
     kernel = clone(kernel)
     notes: list[str] = []
     const_arrays: dict[str, np.ndarray] = {}
@@ -307,9 +283,7 @@ def compile_np(
     if cache_key is not None:
         # Cache a private view so caller-side mutation of the returned
         # containers cannot leak into later cache hits.
-        _VARIANT_CACHE[cache_key] = _share_variant(variant)
-        while len(_VARIANT_CACHE) > _VARIANT_CACHE_CAPACITY:
-            _VARIANT_CACHE.popitem(last=False)
+        _VARIANT_CACHE.put(cache_key, _share_variant(variant))
     return variant
 
 

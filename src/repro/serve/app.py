@@ -11,8 +11,8 @@
   CPU the server may use.
 - ``GET /healthz`` — liveness: uptime, in-flight count, counters.
 - ``GET /statz`` — the default engine and full counters: server,
-  per-tenant, batcher, kernel cache, and the peak RSS and CPU time of
-  the server process and of each launch worker.
+  per-tenant, batcher, kernel cache, and the peak RSS, CPU time and
+  thread count of the server process and of each launch worker.
 
 Admission control happens before any simulator work: once the in-flight
 cap (``max_inflight``) is reached, requests are shed with ``503`` and
@@ -49,7 +49,6 @@ from typing import Optional
 
 from ..gpusim.launch import default_backend
 from ..minicuda.errors import MiniCudaError
-from ..prof.registry import record_profile
 from . import metrics
 from .batcher import CoalescingBatcher
 from .kernels import KernelCache
@@ -356,16 +355,9 @@ class ServeHandler(BaseHTTPRequestHandler):
         tenant.bump("coalesced" if coalesced else "launches")
         counters.bump("coalesced" if coalesced else "launches")
 
-        profile_name = None
-        if req.profile and result.profile is not None:
-            profile_name = f"serve/{req.tenant}/{result.kernel_name}"
-            record_profile(profile_name, result.profile,
-                           tenant=req.tenant, key=key[:16])
-
         started = time.perf_counter()
         body = json.dumps(encode_result(
-            result, key=key, coalesced=coalesced,
-            profile_name=profile_name)).encode()
+            result, key=key, coalesced=coalesced)).encode()
         self._phases["encode"] = _ms_since(started)
         counters.bump("completed")
         metrics.record_event(

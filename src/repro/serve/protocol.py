@@ -26,8 +26,8 @@ engine that ran in its ``backend`` field and carries the final buffer
 contents (same ndarray encoding), the
 :class:`~repro.gpusim.stats.KernelStats` counters, the modeled
 milliseconds, the megablock fallback reason, and — with
-``"profile": true`` — the per-line profile plus the name it was recorded
-under in the :mod:`repro.prof` registry.
+``"profile": true`` — the per-line profile.  The server keeps no copy of
+a profile: it is in the response only.
 
 Identical concurrent requests are *coalesced*: the coalescing key is a
 sha256 over the canonical request content (raw kernel source digest,
@@ -235,7 +235,6 @@ def encode_result(
     *,
     key: str,
     coalesced: bool,
-    profile_name: Optional[str] = None,
 ) -> dict:
     """JSON-ready response body for one completed launch."""
     import dataclasses
@@ -266,7 +265,6 @@ def encode_result(
         }
     if result.profile is not None:
         body["profile"] = result.profile.as_dict()
-        body["profile_name"] = profile_name
     return body
 
 

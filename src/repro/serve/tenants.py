@@ -6,7 +6,9 @@ ordering while different tenants proceed concurrently — the serve-layer
 analogue of one CUDA stream per client process.  Every stream runs its
 launches through the registry's runner (the server's launch workers).
 Streams are created lazily on first request and all drained together at
-shutdown.
+shutdown.  An idle tenant's stream holds no thread: its thread exits after
+:data:`~repro.gpusim.stream.IDLE_LINGER_S` without work, so the server's
+threads are bounded by its busy tenants.
 """
 
 from __future__ import annotations

@@ -182,7 +182,7 @@ class LaunchWorkers:
 
     def snapshot(self) -> List[dict]:
         """Per worker slot: the pid, launches it ran, replacements of the
-        slot so far, and the process's peak RSS and CPU time."""
+        slot so far, and the process's peak RSS, CPU time and threads."""
         with self._cond:
             slots = [(w.pid, w.launches, w.replacements)
                      for w in sorted(self._workers, key=lambda w: w.slot)]
@@ -205,7 +205,7 @@ def _fork(slot: int, replacements: int) -> _Worker:
         # only this thread exists here, and any lock another server thread
         # held at the fork stays held for good.  The worker loop takes none
         # of those locks: it uses its own pipe, its own KernelCache and
-        # launch(), whose caches no server thread locks.
+        # launch(), whose cache locks no server thread takes.
         code = 1
         try:
             # Inherited objects are never collected, so no finalizer closes
@@ -266,14 +266,16 @@ def _reap(pid: int, timeout: Optional[float] = None) -> Optional[str]:
 
 
 def process_usage(pid: int) -> dict:
-    """Peak RSS (``VmHWM``, MB) and user + system CPU (ms) of ``pid``, from
-    ``/proc``; None for a figure that cannot be read."""
-    peak = cpu = None
+    """Peak RSS (``VmHWM``, MB), user + system CPU (ms) and thread count of
+    ``pid``, from ``/proc``; None for a figure that cannot be read."""
+    peak = cpu = threads = None
     try:
         with open(f"/proc/{pid}/status") as fh:
             for line in fh:
                 if line.startswith("VmHWM:"):
                     peak = round(int(line.split()[1]) / 1024, 1)
+                elif line.startswith("Threads:"):
+                    threads = int(line.split()[1])
         with open(f"/proc/{pid}/stat") as fh:
             # Fields 14 and 15 of proc(5); the split starts at field 3.
             fields = fh.read().rsplit(")", 1)[1].split()
@@ -281,4 +283,4 @@ def process_usage(pid: int) -> dict:
                     * 1e3 / os.sysconf("SC_CLK_TCK"), 1)
     except (OSError, IndexError, ValueError):
         pass
-    return {"peak_rss_mb": peak, "cpu_ms": cpu}
+    return {"peak_rss_mb": peak, "cpu_ms": cpu, "threads": threads}

@@ -6,9 +6,6 @@ compared bit-for-bit, and the kernel/variant compile caches get dedicated
 hit/miss/invalidation coverage.
 """
 
-import multiprocessing
-import os
-
 import numpy as np
 import pytest
 
@@ -440,47 +437,6 @@ class TestResourceReportCache:
         result = self.launch(SHARED_SRC % 32)
         assert result.megablock_fallback is None
         assert len(calls) == 1
-
-
-def _cache_probe_in_child(src):
-    """Runs inside a forked worker: compile an already-cached kernel and
-    report what the per-process counters claim."""
-    compile_megablock(parse_kernel(src))
-    stats = compile_cache_stats()
-    return stats.hits, stats.misses, stats.pid, os.getpid()
-
-
-class TestCacheForkAccounting:
-    def setup_method(self):
-        clear_compile_cache()
-
-    def test_parent_stats_carry_pid(self):
-        compile_megablock(parse_kernel(SRC_A))
-        assert compile_cache_stats().pid == os.getpid()
-
-    @pytest.mark.needs_fork
-    def test_forked_child_counters_restart(self):
-        """A forked worker inherits the cache *contents* (its lookups really
-        hit) but must not inherit the parent's hit/miss history as its own."""
-        k = parse_kernel(SRC_A)
-        compile_megablock(k)
-        compile_megablock(k)
-        parent = compile_cache_stats()
-        assert (parent.hits, parent.misses) == (1, 1)
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(1) as pool:
-            hits, misses, stats_pid, child_pid = pool.apply(
-                _cache_probe_in_child, (SRC_A,)
-            )
-        # The child's one lookup hit the inherited artifact — and that is
-        # the *only* event its counters report.
-        assert (hits, misses) == (1, 0)
-        assert stats_pid == child_pid != os.getpid()
-        # Parent counters are untouched by the child's activity.
-        after = compile_cache_stats()
-        assert (after.hits, after.misses) == (parent.hits, parent.misses)
-        assert after.pid == os.getpid()
 
 
 NP_SRC = """

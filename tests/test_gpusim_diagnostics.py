@@ -207,6 +207,19 @@ class TestSyncFaults:
         )
         assert res.ok
         assert np.all(res.buffer("o") == 1.0)
+        if res.backend == "megablock":
+            # Only the interpreter implements the check.
+            assert res.megablock_fallback == "sanitizer"
+
+    @pytest.mark.parametrize("src, block", [(PARTIAL_SYNC, 32),
+                                            (SPLIT_SYNC, 64)],
+                             ids=["partial", "split"])
+    def test_failing_synccheck_launch_never_batches(self, src, block):
+        res = run_kernel(src, 1, block, {"o": np.zeros(block, np.float32)},
+                         synccheck=True, on_error="status")
+        assert not res.ok
+        if res.backend == "megablock":
+            assert res.megablock_fallback == "sanitizer"
 
 
 class TestIntrinsicFaults:

@@ -19,8 +19,9 @@ These pin the three stream bugs fixed alongside the serve layer:
 
 They also pin the async-launch basics: a future's result equals the
 synchronous launch's, one stream runs FIFO, ``synchronize`` drains,
-``close(timeout)`` returns within its timeout, and ``LaunchFuture.cancel``
-skips a queued launch and stops a running one through its runner.
+``close(timeout)`` returns within its timeout, ``LaunchFuture.cancel``
+skips a queued launch and stops a running one through its runner, and an
+idle stream's thread exits and is replaced by the next enqueue.
 """
 
 import threading
@@ -32,7 +33,9 @@ import pytest
 from repro.gpusim.errors import LaunchError, SimError
 from repro.gpusim.launch import run_kernel
 from repro.gpusim.launch import launch
+from repro.gpusim import stream as stream_module
 from repro.gpusim.stream import (
+    IDLE_LINGER_S,
     Event,
     Stream,
     default_stream,
@@ -455,3 +458,43 @@ class TestCancel:
         with pytest.raises(LaunchError, match="was cancelled"):
             running.result(timeout=0)
         assert stream.close(timeout=5.0)
+
+
+class TestIdleThread:
+    def test_idle_thread_exits_and_the_next_launch_starts_one(self):
+        stream = Stream(name="linger")
+        assert stream.launch_async(INC, 2, 32, _args()).result(timeout=120).ok
+        threads = [t for t in threading.enumerate()
+                   if t.name == "gpusim-linger"]
+        for thread in threads:
+            thread.join(timeout=IDLE_LINGER_S + 10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stream.launch_async(INC, 2, 32, _args()).result(timeout=120).ok
+        assert stream.close(timeout=10.0)
+
+    def test_an_enqueue_during_the_exit_check_gets_a_thread(self,
+                                                            monkeypatch):
+        """The thread decides to exit under the stream lock, so a launch
+        enqueued while it decides waits for the decision, then finds no
+        thread and starts one."""
+        monkeypatch.setattr(stream_module, "IDLE_LINGER_S", 0.01)
+        stream = Stream(name="exit-check", runner=lambda *args, **kw: args[0])
+        late = []
+        real_empty = stream._queue.empty
+
+        def empty():
+            was_empty = real_empty()
+            if was_empty and not late:
+                enqueuer = threading.Thread(
+                    target=lambda: late.append(stream.launch_async(1)))
+                enqueuer.start()
+                enqueuer.join(timeout=0.2)   # blocks while the lock is held
+            return was_empty
+
+        monkeypatch.setattr(stream._queue, "empty", empty)
+        assert stream.launch_async(0).result(timeout=10.0) == 0
+        deadline = time.monotonic() + 10.0
+        while not late and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert late[0].result(timeout=10.0) == 1
+        assert stream.close(timeout=10.0)

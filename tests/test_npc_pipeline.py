@@ -187,12 +187,12 @@ class TestVariantCacheLRU:
     def test_capacity_evicts_oldest_first(self, monkeypatch):
         from repro.npc import pipeline
 
-        monkeypatch.setattr(pipeline, "_VARIANT_CACHE_CAPACITY", 2)
+        monkeypatch.setattr(pipeline._VARIANT_CACHE, "capacity", 2)
         self._compile(2)
         self._compile(3)
         self._compile(4)  # evicts slave_size=2, the oldest
         assert len(pipeline._VARIANT_CACHE) == 2
-        kept = [key[2].slave_size for key in pipeline._VARIANT_CACHE]
+        kept = [key[2].slave_size for key in pipeline._VARIANT_CACHE.keys()]
         assert kept == [3, 4]
         # Recompiling the evicted config is a miss; the survivors hit.
         before = pipeline.variant_cache_stats()
@@ -205,12 +205,12 @@ class TestVariantCacheLRU:
     def test_hit_refreshes_recency(self, monkeypatch):
         from repro.npc import pipeline
 
-        monkeypatch.setattr(pipeline, "_VARIANT_CACHE_CAPACITY", 2)
+        monkeypatch.setattr(pipeline._VARIANT_CACHE, "capacity", 2)
         self._compile(2)
         self._compile(3)
         self._compile(2)  # hit: moves slave_size=2 to the MRU end
         self._compile(4)  # evicts slave_size=3, now the oldest
-        kept = [key[2].slave_size for key in pipeline._VARIANT_CACHE]
+        kept = [key[2].slave_size for key in pipeline._VARIANT_CACHE.keys()]
         assert kept == [2, 4]
 
     def test_key_sensitive_to_block_shape(self):
@@ -239,61 +239,6 @@ class TestVariantCacheLRU:
         # Each repeated lookup hits its own entry.
         compile_np(parse_kernel(TMV), 32, cfg, recombine_unrolled=True)
         assert pipeline.variant_cache_stats().hits == 1
-
-
-def _variant_probe_in_child(src):
-    """Forked worker: compile an already-cached variant; report counters."""
-    import os as _os
-
-    from repro.npc.pipeline import variant_cache_stats
-
-    compile_np(parse_kernel(src), 32, NpConfig(slave_size=4, np_type="inter"))
-    stats = variant_cache_stats()
-    return stats.hits, stats.misses, stats.pid, _os.getpid()
-
-
-class TestVariantCacheForkAccounting:
-    """Forked workers inherit variant-cache *contents*, not its history."""
-
-    def setup_method(self):
-        from repro.npc import pipeline
-
-        pipeline.clear_variant_cache()
-
-    def test_parent_stats_carry_pid(self):
-        import os
-
-        from repro.npc.pipeline import variant_cache_stats
-
-        compile_np(parse_kernel(TMV), 32, NpConfig(slave_size=4, np_type="inter"))
-        assert variant_cache_stats().pid == os.getpid()
-
-    @pytest.mark.needs_fork
-    def test_forked_child_counters_restart(self):
-        import multiprocessing
-        import os
-
-        from repro.npc.pipeline import variant_cache_stats
-
-        cfg = NpConfig(slave_size=4, np_type="inter")
-        compile_np(parse_kernel(TMV), 32, cfg)
-        compile_np(parse_kernel(TMV), 32, cfg)
-        parent = variant_cache_stats()
-        assert (parent.hits, parent.misses) == (1, 1)
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(1) as pool:
-            hits, misses, stats_pid, child_pid = pool.apply(
-                _variant_probe_in_child, (TMV,)
-            )
-        # The child's lookup hit the inherited entry — and that is the only
-        # event its counters report.
-        assert (hits, misses) == (1, 0)
-        assert stats_pid == child_pid != os.getpid()
-        # Parent counters untouched by the child's activity.
-        after = variant_cache_stats()
-        assert (after.hits, after.misses) == (parent.hits, parent.misses)
-        assert after.pid == os.getpid()
 
 
 # ---------------------------------------------------------------------------

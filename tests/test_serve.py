@@ -479,13 +479,30 @@ class TestServerHTTP:
         assert "arrive" in kinds and "admit" in kinds and "complete" in kinds
 
     def test_profile_round_trip(self, client):
+        """The body carries the profile; the server registers no copy."""
+        from repro.prof import profile_names
+
         resp = client.launch(SAXPY, 4, 64, _payload()["args"],
                              tenant="prof", profile=True)
-        assert resp["profile"] is not None
-        assert resp["profile_name"] == "serve/prof/saxpy"
-        from repro.prof import get_profile
+        assert resp["profile"]["kernel"] == "saxpy"
+        assert resp["profile"]["lines"]
+        assert "profile_name" not in resp
+        assert [n for n in profile_names() if n.startswith("serve/")] == []
 
-        assert get_profile("serve/prof/saxpy") is not None
+    def test_idle_tenant_threads_exit(self, client):
+        """20 new tenant names leave no thread behind once idle."""
+        from repro.gpusim.stream import IDLE_LINGER_S
+
+        before = client.stats()["server"]["threads"]
+        for i in range(20):
+            client.launch(SAXPY, 4, 64, _wire_args_n(64), tenant=f"idle{i}")
+        deadline = time.monotonic() + IDLE_LINGER_S + 10.0
+        while (client.stats()["server"]["threads"] > before
+               and time.monotonic() < deadline):
+            time.sleep(0.1)
+        assert client.stats()["server"]["threads"] <= before
+        resp = client.launch(SAXPY, 4, 64, _wire_args_n(64), tenant="idle0")
+        assert resp["ok"]
 
     def test_per_tenant_streams_fifo(self, server, client):
         """Each tenant's requests run on its own named stream."""
