@@ -20,8 +20,8 @@ contracts the serve layer advertises:
    sent with ``deadline_ms: 500``, is answered ``504``, and its worker is
    killed and replaced, so a normal launch on the same tenant then
    returns ``200`` within 5 s.
-5. **Clean drain**: SIGTERM stops the listener, finishes in-flight work,
-   drains the tenant streams and stops the launch workers; the process
+5. **Clean drain**: SIGTERM stops the listener, refuses new launches,
+   finishes in-flight work and stops the launch workers; the process
    exits 0 (the server's own claim that the drain was clean), and no
    worker pid that ``/statz`` listed is still alive.
 
@@ -177,7 +177,7 @@ def check_keep_alive(port: int) -> None:
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     round_trips = []
     try:
-        # One unmeasured launch parses the source and starts the stream.
+        # One unmeasured launch parses the source.
         for i in range(KEEP_ALIVE_LAUNCHES + 1):
             t0 = time.perf_counter()
             conn.request("POST", "/v1/launch", body,
@@ -237,7 +237,7 @@ def check_deadline_cancels(client: ServeClient) -> set:
 def check_sigterm_drain(client: ServeClient, proc: subprocess.Popen,
                         pids: set) -> None:
     bench = BENCHMARKS["MC"]()
-    # One more launch so the drain has a tenant stream to wind down.
+    # One more launch, so the drain follows a served tenant's launch.
     client.launch(
         bench.source, bench.grid, bench.block_size, _wire_args(bench),
         const_arrays=bench.const_arrays(), tenant="smoke-drain",

@@ -9,7 +9,6 @@ The substrate that stands in for the paper's GTX 680 / K20c hardware:
 - :mod:`~repro.gpusim.interp` — warp-level interpreter (divergence masks)
 - :mod:`~repro.gpusim.megablock` — batch-vectorized execution engine (default)
 - :mod:`~repro.gpusim.compile` — kernel analyses + digest-keyed lowering cache
-- :mod:`~repro.gpusim.stream` — async launches with stream ordering
 - :mod:`~repro.gpusim.occupancy` — CUDA occupancy calculator
 - :mod:`~repro.gpusim.timing` — Hong–Kim MWP/CWP kernel-time model
 - :mod:`~repro.gpusim.launch` — host-side launch API
@@ -41,7 +40,6 @@ from .errors import (
 from .faults import FaultInjector, FaultSpec, InjectionRecord
 from .launch import LaunchResult, default_backend, launch, run_kernel
 from .racecheck import Sanitizer, SanitizerFinding, SanitizerReport
-from .stream import Event, LaunchFuture, Stream, default_stream, launch_async
 from .report import compare_report, profile_report
 from .occupancy import Occupancy, ResourceUsage, compute_occupancy
 from .stats import KernelStats, PerWarpStats

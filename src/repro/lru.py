@@ -3,7 +3,8 @@
 The process's memo caches are instances of :class:`LRU`: megablock
 lowerings (:mod:`repro.gpusim.compile`), NP variants
 (:mod:`repro.npc.pipeline`) and parsed served kernels
-(:mod:`repro.serve.kernels`).  Every lookup and update holds the
+(:mod:`repro.serve.kernels`); so are the kernel server's per-tenant
+counters (:mod:`repro.serve.batcher`).  Every lookup and update holds the
 instance's one lock, so threads may share a cache.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, List, Optional
+from typing import Any, Hashable, List, Optional, Tuple
 
 
 class LRU:
@@ -58,6 +59,11 @@ class LRU:
         """A snapshot of the keys, least recently used first."""
         with self._lock:
             return list(self._entries)
+
+    def items(self) -> List[Tuple[Hashable, Any]]:
+        """A snapshot of the entries, least recently used first."""
+        with self._lock:
+            return list(self._entries.items())
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -2,11 +2,14 @@
 
 ``python -m repro.serve`` starts a stdlib ``ThreadingHTTPServer`` that
 accepts kernel-source + named-buffer launch requests, dedupes parsing by
-source digest, coalesces identical concurrent requests into one launch
-(fanning the result back to every waiter, bit-identical), runs each
-tenant's launches in FIFO order on its own stream, and sheds load with
-``503`` + ``Retry-After`` past its in-flight cap.  See :mod:`repro.serve.protocol` for the wire schema and the
-README's "Serving" section for a walkthrough.
+source digest, and sheds load with ``503`` + ``Retry-After`` past its
+in-flight cap.  Each handler thread runs its own launch through one
+dispatcher (:mod:`repro.serve.batcher`), which coalesces identical
+concurrent requests into one launch (fanning the result back to every
+waiter, bit-identical), runs each tenant's launches in FIFO order, and
+hands each launch to a forked launch worker.  See
+:mod:`repro.serve.protocol` for the wire schema and the README's
+"Serving" section for a walkthrough.
 """
 
 from .app import KernelServer
@@ -23,7 +26,6 @@ from .protocol import (
     encode_result,
     parse_request,
 )
-from .tenants import TenantRegistry, TenantState
 
 __all__ = [
     "KernelServer",
@@ -42,6 +44,4 @@ __all__ = [
     "encode_array",
     "encode_result",
     "parse_request",
-    "TenantRegistry",
-    "TenantState",
 ]

@@ -13,12 +13,12 @@ A bad setting (a non-integer port or cap, a port outside 0..65535, a cap
 below 1, an unknown backend) stops the server with exit code 2 before it
 binds its port, with a message that names the flag or variable.
 
-SIGTERM and SIGINT both trigger a graceful drain: stop accepting, finish
-in-flight launches, close every tenant stream, stop the launch workers.
-The process exits 0 only when the drain was clean — a launch still
-running when the drain timeout expires makes the exit code 1, so a stuck
-stream is checkable from the outside; its worker is killed all the same,
-so no process outlives the server.
+SIGTERM and SIGINT both trigger a graceful drain: stop accepting, refuse
+new launches, finish the queued and running ones, stop the launch
+workers.  The process exits 0 only when the drain was clean — a launch
+still queued or running when the drain timeout expires makes the exit
+code 1, so a stuck launch is checkable from the outside; its worker is
+killed all the same, so no process outlives the server.
 """
 
 from __future__ import annotations

@@ -4,15 +4,17 @@
 (one handler thread per connection — no third-party framework) exposing:
 
 - ``POST /v1/launch`` — simulate one kernel launch (see
-  :mod:`repro.serve.protocol` for the JSON schema).  Identical concurrent
-  requests are coalesced into one execution; each tenant's launches run
-  in FIFO order on its own stream, and every launch runs on one of the
-  server's forked launch workers (:mod:`repro.serve.workers`), one per
-  CPU the server may use.
+  :mod:`repro.serve.protocol` for the JSON schema).  The handler thread
+  runs its own launch through the dispatcher
+  (:mod:`repro.serve.batcher`): identical concurrent requests are
+  coalesced into one execution, each tenant's launches run in FIFO order,
+  and every launch runs on one of the server's forked launch workers
+  (:mod:`repro.serve.workers`), one per CPU the server may use.
 - ``GET /healthz`` — liveness: uptime, in-flight count, counters.
 - ``GET /statz`` — the default engine and full counters: server,
-  per-tenant, batcher, kernel cache, and the peak RSS, CPU time and
-  thread count of the server process and of each launch worker.
+  per-tenant (the most recently submitting tenants only), batcher, kernel
+  cache, and the peak RSS, CPU time and thread count of the server
+  process and of each launch worker.
 
 Admission control happens before any simulator work: once the in-flight
 cap (``max_inflight``) is reached, requests are shed with ``503`` and
@@ -21,7 +23,8 @@ before anything is queued.  An admitted request carries its own
 ``deadline_ms``; expiry returns ``504``.  When the last request waiting
 on a launch (coalesced siblings included) gives up, the launch is
 cancelled: skipped if still queued, its worker killed and replaced if
-running, so the tenant's stream is free again.
+running, so the tenant's next launch can start.  A request that reaches
+the dispatcher after a drain began is answered ``503``.
 
 Faulting launches are *contained*, CUDA-style: the kernel runs with
 ``on_error="status"`` and a located fault comes back as ``422`` with the
@@ -32,10 +35,10 @@ Every ``/v1/launch`` response carries a ``Server-Timing`` header with the
 server's own milliseconds per phase (``decode``, ``admit``,
 ``kernel_cache``, ``launch``, ``execute``, ``encode`` and ``total``), so a
 client can tell time spent in the server from time spent on the wire.
-``admit`` is the in-flight acquire, ``coalesce_key`` and the tenant lookup;
-``kernel_cache`` is the server's parse check of the source.  ``execute`` is
-the worker's own time in ``launch()``, so ``launch`` − ``execute`` is the
-wait for the tenant stream, a free worker and the pipe.
+``admit`` is the in-flight acquire and ``coalesce_key``; ``kernel_cache``
+is the server's parse check of the source.  ``execute`` is the worker's
+own time in ``launch()``, so ``launch`` − ``execute`` is the wait for the
+tenant's turn, a free worker and the pipe.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Optional
 from ..gpusim.launch import default_backend
 from ..minicuda.errors import MiniCudaError
 from . import metrics
-from .batcher import CoalescingBatcher
+from .batcher import CoalescingBatcher, Draining
 from .kernels import KernelCache
 from .protocol import (
     ProtocolError,
@@ -59,7 +62,6 @@ from .protocol import (
     error_body,
     parse_request,
 )
-from .tenants import TenantRegistry
 from .workers import KernelSource, LaunchWorkers, process_usage
 
 #: Default seconds clients are told to back off when the server sheds.
@@ -91,8 +93,7 @@ class KernelServer(ThreadingHTTPServer):
             raise
         self.max_inflight = max_inflight
         self.counters = metrics.ServeCounters()
-        self.batcher = CoalescingBatcher()
-        self.tenants = TenantRegistry(runner=self.workers.run)
+        self.batcher = CoalescingBatcher(self.workers)
         # Parses each source once in the server too, so source that does
         # not parse is refused before it is queued.
         self.kernel_cache = KernelCache()
@@ -112,14 +113,14 @@ class KernelServer(ThreadingHTTPServer):
         super().serve_forever(poll_interval)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: stop accepting, drain every tenant stream,
-        then stop the launch workers.
+        """Graceful shutdown: stop accepting, refuse new launches, wait for
+        the queued and running ones, then stop the launch workers.
 
-        ``timeout`` bounds the stream drain.  Returns True when every
-        tenant stream ran its queued launches and stopped within it; the
-        server process should exit non-zero otherwise, so a stuck launch
-        is an observable failure.  Either way no worker outlives the
-        drain: one still running a launch is killed.
+        ``timeout`` bounds the wait.  Returns True when nothing was left
+        queued or running within it; the server process should exit
+        non-zero otherwise, so a stuck launch is an observable failure.
+        Either way no worker outlives the drain: one still running a
+        launch is killed, and its request is answered ``500``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._loop_lock:
@@ -127,17 +128,15 @@ class KernelServer(ThreadingHTTPServer):
             loop_started = self._loop_started
         if loop_started:
             self.shutdown()
-        clean = self.tenants.close_all(
+        return self.batcher.drain(
             None if deadline is None else max(deadline - time.monotonic(), 0.0)
         )
-        self.workers.close()
-        return clean
 
     def server_close(self) -> None:
-        """Close the listening socket and stop the launch workers (a
-        drain, if one ran, already stopped them)."""
+        """Close the listening socket, refuse new launches and stop the
+        launch workers at once (a drain, if one ran, already did)."""
         super().server_close()
-        self.workers.close()
+        self.batcher.drain(0.0)
 
 
 class ServeHandler(BaseHTTPRequestHandler):
@@ -226,7 +225,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 # The engine a request without options.backend runs on.
                 "default_backend": default_backend(),
                 "counters": self.server.counters.snapshot(),
-                "tenants": self.server.tenants.snapshot(),
+                "tenants": self.server.batcher.tenants(),
                 "batcher": self.server.batcher.snapshot(),
                 "kernel_cache": self.server.kernel_cache.snapshot(),
                 "server": dict(pid=os.getpid(), **process_usage(os.getpid())),
@@ -309,50 +308,38 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._send(400, error_body(f"{type(exc).__name__}: {exc}",
                                        kind="protocol"))
             return
-        mark = self._phase("kernel_cache", mark)
+        started = self._phase("kernel_cache", mark)
 
-        try:
-            tenant = server.tenants.get(req.tenant)
-        except RuntimeError as exc:  # registry closed: draining
-            self._phase("admit", mark)
-            counters.bump("errors")
-            self._send(503, error_body(str(exc), kind="draining"),
-                       {"Retry-After": str(RETRY_AFTER_S)})
-            return
-        tenant.bump("requests")
-
-        launch_kwargs = {}
+        # The engine is resolved here, per request: a worker's environment
+        # is the server's as it stood at the fork.
+        launch_kwargs = {"backend": req.backend or default_backend()}
         if req.profile:
             launch_kwargs["profile"] = True
         deadline = (
             time.monotonic() + req.deadline_ms / 1000.0
             if req.deadline_ms is not None else None
         )
-
-        started = self._phase("admit", mark)
         try:
-            # The engine is resolved here, per request: a worker's
-            # environment is the server's as it stood at the fork.
-            launch_kwargs["backend"] = req.backend or default_backend()
             result, coalesced = server.batcher.submit(
-                req, key, tenant.stream,
-                KernelSource(req.source_digest, req.source), launch_kwargs,
-                deadline=deadline,
+                req, key, KernelSource(req.source_digest, req.source),
+                launch_kwargs, deadline=deadline,
             )
+        except Draining as exc:
+            counters.bump("errors")
+            self._send(503, error_body(str(exc), kind="draining"),
+                       {"Retry-After": str(RETRY_AFTER_S)})
+            return
         except TimeoutError as exc:
             counters.bump("timeouts")
-            tenant.bump("errors")
             self._send(504, error_body(str(exc), kind="deadline"))
             return
         except Exception as exc:  # parse/arg errors surface located
             counters.bump("errors")
-            tenant.bump("errors")
             self._send(500, error_body(f"{type(exc).__name__}: {exc}"))
             return
 
         self._phases["launch"] = _ms_since(started)
         self._phases["execute"] = result.wall_ms
-        tenant.bump("coalesced" if coalesced else "launches")
         counters.bump("coalesced" if coalesced else "launches")
 
         started = time.perf_counter()
@@ -366,7 +353,6 @@ class ServeHandler(BaseHTTPRequestHandler):
         )
         if result.error is not None:
             counters.bump("errors")
-            tenant.bump("errors")
             self._send(422, body)
         else:
             self._send(200, body)

@@ -2,10 +2,10 @@
 
 Every request's journey through the server — arrive → admit (or shed) →
 coalesce (followers only) → complete — is recorded as a
-:class:`ServeEvent` in a bounded process-wide deque, mirroring the disk
-cache's event log.  :mod:`repro.prof.timeline` exports them as Chrome
-``trace_event`` instants on a dedicated "serve" row, so a served launch's
-trace shows the request traffic above the modeled SMX schedule.
+:class:`ServeEvent` in a bounded process-wide deque.
+:mod:`repro.prof.timeline` exports them as Chrome ``trace_event``
+instants on a dedicated "serve" row, so a served launch's trace shows the
+request traffic above the modeled SMX schedule.
 
 This module deliberately imports nothing from the simulator: it is pure
 bookkeeping that the timeline exporter can pull in lazily without cycles.

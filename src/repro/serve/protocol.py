@@ -15,7 +15,7 @@ A launch request is one JSON object::
       "options": {                                  # all optional
         "backend": "interp",              # megablock (default) | interp
         "profile": true,                  # per-line counters in response
-        "deadline_ms": 2000               # per-request completion deadline
+        "deadline_ms": 2000               # completion deadline, <= 1 day
       }
     }
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -53,6 +52,14 @@ from ..gpusim.errors import LaunchError
 
 #: Wire-format version, echoed in every response.
 PROTOCOL_VERSION = 1
+
+#: Longest tenant name a request may carry, in characters.
+MAX_TENANT_CHARS = 128
+
+#: Longest ``options.deadline_ms`` a request may carry: one day.  The
+#: server's waits take the time left as their timeout, and a pipe's
+#: ``poll()`` cannot wait 2**31 ms (24.8 days) or more.
+MAX_DEADLINE_MS = 86_400_000.0
 
 #: dtypes a request may carry (the simulator's universe of element types).
 ALLOWED_DTYPES = ("float32", "float64", "int32", "int64", "uint8", "uint32")
@@ -175,14 +182,18 @@ def parse_request(body: bytes) -> LaunchRequest:
             deadline_ms = float(deadline_ms)
         except (TypeError, ValueError, OverflowError):
             raise ProtocolError('"options.deadline_ms" must be a number') from None
-        if not (math.isfinite(deadline_ms) and deadline_ms > 0):
+        if not 0 < deadline_ms <= MAX_DEADLINE_MS:
             raise ProtocolError(
-                '"options.deadline_ms" must be a positive, finite number'
+                f'"options.deadline_ms" must be a positive number of at most '
+                f'{MAX_DEADLINE_MS:.0f} (one day)'
             )
 
     tenant = payload.get("tenant", "default")
-    if not isinstance(tenant, str) or not tenant:
-        raise ProtocolError('"tenant" must be a non-empty string')
+    if (not isinstance(tenant, str) or not tenant
+            or len(tenant) > MAX_TENANT_CHARS):
+        raise ProtocolError(
+            f'"tenant" must be a non-empty string of at most '
+            f'{MAX_TENANT_CHARS} characters')
 
     return LaunchRequest(
         tenant=tenant,

@@ -2,12 +2,12 @@
 
 :class:`LaunchWorkers` forks one worker process per CPU the server may run
 on (``os.sched_getaffinity``) when the server is built, before its socket
-binds and before any server thread exists.  Every tenant stream
-(:class:`~repro.gpusim.stream.Stream`) runs its launches through
-:meth:`LaunchWorkers.run`: the stream's thread hands the launch to an idle
-worker over a pipe and waits for the reply with the interpreter lock
-released, so two tenants' launches run on two CPUs instead of taking turns
-on one interpreter lock.
+binds and before any server thread exists.  The server's dispatcher
+(:mod:`repro.serve.batcher`) drives them from the request handler
+threads: it takes an idle worker, sends it a job and blocks on the
+worker's pipe for the reply with the interpreter lock released, so two
+tenants' launches run on two CPUs instead of taking turns on one
+interpreter lock.
 
 The server sends a request's kernel source and its sha256
 (:class:`KernelSource`), not the parsed tree: each worker parses a source
@@ -18,11 +18,10 @@ resolves the engine and names it in every job, so a worker never reads
 :class:`~repro.gpusim.launch.LaunchResult`, whose ``wall_ms`` is the
 worker's own time in ``launch()``.
 
-A launch that runs in its own process can be stopped: the runner
-registers a stop function on the launch's future, so
-``LaunchFuture.cancel`` SIGKILLs the worker.  A worker that dies, killed
-or crashed, fails its launch with a located ``LaunchError`` naming its pid
-and signal, and a fresh fork takes its place.
+A launch that runs in its own process can be stopped:
+:meth:`LaunchWorkers.kill` SIGKILLs the worker running it.  A worker that
+dies, killed or crashed, fails its launch with a located ``LaunchError``
+naming its pid and signal, and a fresh fork takes its place.
 
 Workers are forked, not spawned: a fork is ready in tens of milliseconds
 with the engine already imported, where a spawned interpreter must import
@@ -41,7 +40,6 @@ from typing import TYPE_CHECKING, List, Optional
 
 from ..gpusim.errors import LaunchError
 from ..gpusim.launch import LaunchResult, launch
-from ..gpusim.stream import running_future
 from .kernels import KernelCache
 
 if TYPE_CHECKING:
@@ -76,69 +74,74 @@ class _Worker:
 
 
 class LaunchWorkers:
-    """One forked launch worker per usable CPU; :meth:`run` is the runner
-    of every tenant stream."""
+    """One forked launch worker per usable CPU, driven by the server's
+    dispatcher."""
 
     def __init__(self) -> None:
         # Guards the worker lists, forks and reaping.  A pid is killed only
-        # while its worker is listed (by close(), under this lock) or while
-        # its launch's stop function is registered, and a runner
-        # unregisters that and delists the worker before reaping it, so no
-        # reused pid is ever signalled.
-        self._cond = threading.Condition()
+        # while its worker is listed: by close(), under this lock, or by
+        # kill() before it reaps the worker; a busy worker is delisted
+        # only by the one caller that reaps it.
+        self._lock = threading.Lock()
         self._workers = [_fork(slot, 0)
                          for slot in range(len(os.sched_getaffinity(0)))]
         self._idle = list(self._workers)
         self._closed = False
 
-    # -- the stream runner ---------------------------------------------------
+    # -- one launch ----------------------------------------------------------
 
-    def run(self, kernel: KernelSource, grid, block, args,
-            **kwargs) -> LaunchResult:
-        """Run one launch on an idle worker; the arguments are those of
+    def acquire(self) -> Optional[_Worker]:
+        """An idle worker, now busy, or None while every worker is busy;
+        raises ``LaunchError`` once the workers are closed."""
+        with self._lock:
+            if self._closed:
+                raise LaunchError("the launch workers are closed")
+            return self._idle.pop() if self._idle else None
+
+    def start(self, worker: _Worker, kernel: KernelSource, grid, block,
+              args, kwargs: dict) -> None:
+        """Send a busy worker one launch: the arguments of
         :func:`~repro.gpusim.launch.launch`, except that the kernel is a
-        :class:`KernelSource`.
-
-        Called on a stream thread, the launch becomes stoppable: cancelling
-        its future kills the worker running it.
-        """
-        future = running_future()
-        where = "" if future is None else f" on {future._where()}"
-        worker = self._acquire()
-        pid = worker.pid
-        if future is not None and not future.set_stop(
-                lambda: os.kill(pid, signal.SIGKILL)):
-            self._release(worker)        # cancelled while it waited
-            raise LaunchError(f"launch{where} was cancelled")
+        :class:`KernelSource`."""
         try:
             worker.conn.send((kernel, grid, block, args, kwargs))
+        except OSError:                  # the worker died: result() says so
+            pass
+
+    def wait(self, worker: _Worker, timeout: Optional[float]) -> bool:
+        """Block until the worker's reply, or its death, can be read; False
+        when ``timeout`` seconds pass first (None: no limit)."""
+        return worker.conn.poll(timeout)
+
+    def result(self, worker: _Worker, where: str) -> LaunchResult:
+        """Read the reply :meth:`wait` announced and free the worker.
+
+        A worker that died is reaped and replaced, and its launch fails with
+        a ``LaunchError`` naming its pid, its signal and ``where``.  An
+        exception the launch raised is re-raised.
+        """
+        try:
             reply = worker.conn.recv()
         except (EOFError, OSError):      # the worker died
-            reply = None
-        stopped = future is not None and not future.set_stop(None)
-        if reply is None or stopped:
             raise LaunchError(
-                f"launch worker {pid} {self._replace(worker)} while running "
-                f"the launch{where}")
+                f"launch worker {worker.pid} {self._replace(worker)} while "
+                f"running the launch of {where}") from None
         worker.launches += 1
         self._release(worker)
         if isinstance(reply, BaseException):
             raise reply
         return reply
 
-    def _acquire(self) -> _Worker:
-        with self._cond:
-            while not self._idle and not self._closed:
-                self._cond.wait()
-            if self._closed:
-                raise LaunchError("the launch workers are closed")
-            return self._idle.pop()
+    def kill(self, worker: _Worker) -> None:
+        """Stop a busy worker's launch: SIGKILL the worker, reap it and fork
+        its successor."""
+        os.kill(worker.pid, signal.SIGKILL)   # listed until reaped below
+        self._replace(worker)
 
     def _release(self, worker: _Worker) -> None:
-        with self._cond:
+        with self._lock:
             if not self._closed:
                 self._idle.append(worker)
-                self._cond.notify()
                 return
             self._workers.remove(worker)
             worker.conn.close()
@@ -147,7 +150,7 @@ class LaunchWorkers:
     def _replace(self, worker: _Worker) -> str:
         """Reap a dead worker, fork its successor unless closed, and return
         how the dead one ended ("was killed by signal 9 (SIGKILL)")."""
-        with self._cond:
+        with self._lock:
             self._workers.remove(worker)
             worker.conn.close()
             ended = _reap(worker.pid)
@@ -155,7 +158,6 @@ class LaunchWorkers:
                 fresh = _fork(worker.slot, worker.replacements + 1)
                 self._workers.append(fresh)
                 self._idle.append(fresh)
-                self._cond.notify()
         return ended
 
     # -- lifetime and observability ------------------------------------------
@@ -164,14 +166,13 @@ class LaunchWorkers:
         """Stop every worker.  Idle workers exit on pipe EOF (and are killed
         after ``EXIT_GRACE_S``); a worker still running a launch is killed,
         and that launch fails.  Idempotent."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._cond.notify_all()
             idle, self._idle = self._idle, []
             for worker in self._workers:
-                if worker not in idle:   # its runner reaps it
+                if worker not in idle:   # result() or kill() reaps it
                     os.kill(worker.pid, signal.SIGKILL)
             for worker in idle:
                 worker.conn.close()
@@ -183,7 +184,7 @@ class LaunchWorkers:
     def snapshot(self) -> List[dict]:
         """Per worker slot: the pid, launches it ran, replacements of the
         slot so far, and the process's peak RSS, CPU time and threads."""
-        with self._cond:
+        with self._lock:
             slots = [(w.pid, w.launches, w.replacements)
                      for w in sorted(self._workers, key=lambda w: w.slot)]
         return [dict(pid=pid, launches=launches, replacements=replaced,
@@ -239,7 +240,7 @@ def _serve(conn: Connection) -> None:
         try:
             reply = launch(kernels.get(kernel.digest, kernel.source),
                            grid, block, args, **kwargs)
-        except Exception as exc:  # re-raised by the server's runner
+        except Exception as exc:  # re-raised by LaunchWorkers.result
             reply = exc
         conn.send(reply)
 

@@ -69,27 +69,6 @@ class TestReadme:
         for sub in re.findall(r"python -m repro\.prof (\w+)", readme):
             assert sub in ("trace", "top", "diff"), sub
 
-    def test_async_launch_section_documents_real_api(self):
-        """The Asynchronous launches section names real stream API, and
-        sits next to Serving, which builds on it."""
-        import inspect
-
-        from repro.gpusim import Event, LaunchFuture, Stream, launch_async
-
-        readme = (ROOT / "README.md").read_text()
-        assert "## Asynchronous launches" in readme
-        section = readme.split("## Asynchronous launches", 1)[1]
-        assert section.split("\n## ", 1)[1].startswith("Serving")
-        section = section.split("\n## ", 1)[0]
-        for needle in ("`launch_async(...)`", "`LaunchFuture`", "`Stream`",
-                       "`stream.synchronize()`", "`future.result()`",
-                       "`Event`", "`stream.close(timeout)`"):
-            assert needle in section, needle
-        assert callable(launch_async)
-        assert hasattr(Stream, "synchronize") and hasattr(Event, "wait")
-        assert "timeout" in inspect.signature(Stream.close).parameters
-        assert hasattr(LaunchFuture, "result")
-
     def test_caching_section_documents_real_knobs(self):
         """Every GPUSIM_* knob that README.md or DESIGN.md names must be
         read somewhere under src/ or tests/, and the Caching section's
@@ -320,7 +299,7 @@ class TestDesign:
         design = (ROOT / "DESIGN.md").read_text()
         assert "## Request coalescing vs megablock batching" in design
         for anchor in ("CoalescingBatcher", "serve/batcher.py",
-                       "launch_async", "Retry-After", "503", "504"):
+                       "Retry-After", "503", "504"):
             assert anchor in design, anchor
         from repro.serve.batcher import CoalescingBatcher
 

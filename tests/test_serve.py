@@ -1,7 +1,9 @@
 """Kernel-server tests: protocol, coalescing, admission control, drain."""
 
 import base64
+import dataclasses
 import http.client
+import itertools
 import json
 import os
 import signal
@@ -10,14 +12,15 @@ import statistics
 import sys
 import threading
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpusim.stream import Event, Stream
+from repro.gpusim.errors import LaunchError
 from repro.kernels import BENCHMARKS
-from repro.minicuda.parser import parse_kernel
 from repro.serve import (
     KernelServer,
     ProtocolError,
@@ -30,7 +33,8 @@ from repro.serve import (
     parse_request,
 )
 from repro.serve.app import MAX_BODY_BYTES
-from repro.serve.batcher import CoalescingBatcher
+from repro.serve.batcher import TENANT_CAPACITY, CoalescingBatcher, Draining
+from repro.serve.workers import KernelSource, LaunchWorkers
 
 SAXPY = """
 __global__ void saxpy(float* x, float* y, float a, int n) {
@@ -85,6 +89,13 @@ def client(server):
     return ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
 
 
+@pytest.fixture
+def batcher():
+    dispatcher = CoalescingBatcher(LaunchWorkers())
+    yield dispatcher
+    dispatcher.drain(10.0)
+
+
 class TestProtocol:
     def test_array_round_trip(self):
         for dtype in ("float32", "float64", "int32", "int64", "uint8"):
@@ -110,6 +121,12 @@ class TestProtocol:
         assert isinstance(req.args["x"], np.ndarray)
         assert req.args["n"] == 4
         assert req.tenant == "default"
+        longest = "t" * 128
+        assert parse_request(json.dumps(
+            {**good, "tenant": longest}).encode()).tenant == longest
+        one_day = {**good, "options": {"deadline_ms": 86_400_000}}
+        assert parse_request(
+            json.dumps(one_day).encode()).deadline_ms == 86_400_000
 
         for broken in (
             b"not json",
@@ -125,10 +142,11 @@ class TestProtocol:
             json.dumps({**good, "options": {"backend": "cuda"}}).encode(),
             json.dumps({**good, "options": {"backend": "compiled"}}).encode(),
             json.dumps({**good, "options": {"deadline_ms": -1}}).encode(),
-            # Deadlines must be finite (a NaN one would answer 504 at once).
+            # Deadlines must be finite (a NaN one would answer 504 at once)
+            # and at most one day.
             *(json.dumps({**good, "options": {"deadline_ms": value}}).encode()
               for value in ("nan", "inf", "-inf", float("nan"),
-                            float("inf"), 10**400)),
+                            float("inf"), 10**400, 86_400_001)),
             json.dumps({**good, "args": {"x": {
                 "dtype": "float32", "shape": [float("inf")], "data": ""}}},
             ).encode(),
@@ -189,106 +207,205 @@ class TestProtocol:
 
 
 class TestBatcherCoalescing:
-    def test_concurrent_duplicates_share_one_launch(self):
-        """Deterministic coalescing: park the stream, pile N identical
-        requests onto the batcher, release — exactly one launch, N-1
-        followers, every result the same object."""
-        kernel = parse_kernel(SAXPY)
-        stream = Stream(name="coalesce-test")
-        gate = Event(name="gate")
-        gate._stream_name = stream.name
-        stream._enqueue(("wait", gate))
-
-        batcher = CoalescingBatcher()
+    def test_concurrent_duplicates_share_one_launch(self, batcher):
+        """Deterministic coalescing: a spinning launch holds the tenant, so
+        the first of four identical requests queues behind it and the other
+        three join it: one launch, three followers, every result the same
+        object."""
+        spinner, _ = _hold(batcher, "hol")
         n = 256
         results = {}
-        errors = []
-        started = threading.Barrier(4)
 
         def submit(idx):
-            x = np.arange(n, dtype=np.float32)
-            y = np.ones(n, dtype=np.float32)
-            req = parse_request(json.dumps({
-                "tenant": f"tenant-{idx}", "kernel": SAXPY,
-                "grid": 4, "block": 64,
-                "args": {"x": encode_array(x), "y": encode_array(y),
-                         "a": 2.0, "n": n},
-            }).encode())
-            key = coalesce_key(req)
-            started.wait()
-            try:
-                result, coalesced = batcher.submit(
-                    req, key, stream, kernel, {}, deadline=None)
-                results[idx] = (result, coalesced)
-            except Exception as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
+            tenant = "hol" if idx == 0 else f"tenant-{idx}"
+            results[idx] = _submit(batcher, _wire_payload(n=n, tenant=tenant))
 
-        threads = [threading.Thread(target=submit, args=(i,)) for i in range(4)]
-        for t in threads:
+        leader = threading.Thread(target=submit, args=(0,))
+        leader.start()
+        _wait_for(lambda: batcher.inflight() == 2)
+        followers = [threading.Thread(target=submit, args=(i,))
+                     for i in (1, 2, 3)]
+        for t in followers:
             t.start()
-        # All four are behind the barrier -> all submitted while parked.
-        time.sleep(0.3)
-        gate._fired.set()
-        for t in threads:
+        _wait_for(lambda: batcher.coalesced == 3)
+        _kill_spinner(batcher)
+        for t in (spinner, leader, *followers):
             t.join(timeout=10.0)
-        stream.synchronize(timeout=5.0)
-        stream.close()
+            assert not t.is_alive()
 
-        assert not errors
         assert len(results) == 4
-        assert batcher.launches == 1
+        assert batcher.launches == 2  # the spinner and the leader
         assert batcher.coalesced == 3
-        assert sum(1 for _, c in results.values() if c) == 3
+        assert [c for _, c in results.values()].count(True) == 3
         # Fan-out is the same LaunchResult => bit-identical by identity.
         launch_results = {id(r) for r, _ in results.values()}
         assert len(launch_results) == 1
-        only = next(iter(results.values()))[0]
+        only = results[0][0]
         expect = 2.0 * np.arange(n, dtype=np.float32) + 1.0
         assert np.array_equal(only.buffer("y"), expect)
         assert batcher.inflight() == 0  # entry retired
 
-    def test_sequential_identical_requests_do_not_coalesce(self):
-        """An entry is retired once its event fires: a later identical
+    def test_sequential_identical_requests_do_not_coalesce(self, batcher):
+        """A settled entry leaves the map at once: a later identical
         request starts a fresh launch instead of reading stale state."""
-        kernel = parse_kernel(SAXPY)
-        batcher = CoalescingBatcher()
-        with Stream(name="seq") as stream:
-            for expected_launches in (1, 2):
-                req = parse_request(json.dumps(_wire_payload()).encode())
-                key = coalesce_key(req)
-                result, coalesced = batcher.submit(
-                    req, key, stream, kernel, {}, deadline=None)
-                assert result.ok and not coalesced
-                assert batcher.launches == expected_launches
+        for expected_launches in (1, 2):
+            result, coalesced = _submit(batcher, _wire_payload())
+            assert result.ok and not coalesced
+            assert batcher.launches == expected_launches
         assert batcher.coalesced == 0
 
-    def test_deadline_timeout_keeps_entry_inflight(self):
-        kernel = parse_kernel(SAXPY)
-        stream = Stream(name="stuck")
-        gate = Event(name="gate")
-        gate._stream_name = stream.name
-        stream._enqueue(("wait", gate))
-        batcher = CoalescingBatcher()
+    def test_deadline_timeout_keeps_entry_inflight(self, batcher):
+        """A waiter whose deadline passes leaves a launch that another
+        request still waits on: the entry stays in flight, and the
+        follower gets its result once the launch runs."""
+        spinner, _ = _hold(batcher, "stuck")
+        outcome = {}
+
+        def wait(name, deadline):
+            try:
+                outcome[name] = _submit(
+                    batcher, _wire_payload(tenant="stuck"), deadline)
+            except TimeoutError as exc:
+                outcome[name] = exc
+
+        leader = threading.Thread(
+            target=wait, args=("leader", time.monotonic() + 1.0))
+        leader.start()
+        _wait_for(lambda: batcher.inflight() == 2)
+        follower = threading.Thread(target=wait, args=("follower", None))
+        follower.start()
+        _wait_for(lambda: batcher.coalesced == 1)
+        leader.join(timeout=10.0)
+        assert isinstance(outcome["leader"], TimeoutError)
+        assert "deadline" in str(outcome["leader"])
+        assert batcher.inflight() == 2  # the spinner and the entry
+        _kill_spinner(batcher)
+        for t in (spinner, follower):
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        result, coalesced = outcome["follower"]
+        assert result.ok and coalesced
+        assert batcher.inflight() == 0
+
+    @pytest.mark.parametrize("seconds", [3e6, 1e10],
+                             ids=["pipe-wait", "lock-wait"])
+    def test_a_wait_that_raises_leaves_nothing_behind(self, batcher, seconds):
+        """A deadline too far away for the pipe's poll() (24.8 days) or for
+        a lock's timeout makes the waiter's own wait raise.  The launch
+        fails, but its worker is not left busy and its entry does not stay
+        at the head of its tenant's queue: the tenant's next launch runs."""
+        with pytest.raises(OverflowError):
+            _submit(batcher, _wire_payload(tenant="far"),
+                    time.monotonic() + seconds)
+        assert batcher.inflight() == 0 and not batcher._queues
+        assert _busy_pids(batcher._workers) == []
+        result, coalesced = _submit(batcher, _wire_payload(n=64, tenant="far"),
+                                    time.monotonic() + 10.0)
+        assert result.ok and not coalesced
+        assert _busy_pids(batcher._workers) == []
+
+    def test_request_already_late_takes_no_worker(self, batcher):
+        """A waiter whose deadline has passed before its launch could start
+        leaves without sending the job: nothing runs, no worker is killed
+        or forked, and the tenant's next launch runs."""
+        with pytest.raises(TimeoutError):
+            _submit(batcher, _wire_payload(tenant="late"),
+                    time.monotonic() - 1.0)
+        assert batcher.inflight() == 0 and not batcher._queues
+        workers = batcher._workers.snapshot()
+        assert sum(w["launches"] for w in workers) == 0
+        assert sum(w["replacements"] for w in workers) == 0
+        result, _ = _submit(batcher, _wire_payload(tenant="late"))
+        assert result.ok
+
+
+class TestTenantState:
+    def test_tenant_state_stays_bounded(self):
+        """2,000 new tenant names and then 2,000 more go through the
+        dispatcher's tenant bookkeeping (on workers that answer at once, so
+        no process or thread starts): the second batch retains almost
+        nothing, and only the most recent tenants are listed."""
+        done = SimpleNamespace(error=None)
+
+        class InstantWorkers:
+            def acquire(self):
+                return self
+
+            def start(self, worker, *job):
+                pass
+
+            def wait(self, worker, timeout):
+                return True
+
+            def result(self, worker, where):
+                return done
+
+        batcher = CoalescingBatcher(InstantWorkers())
+        req = parse_request(json.dumps(_wire_payload(n=64)).encode())
+        key = coalesce_key(req)
+
+        def churn(first):
+            for i in range(first, first + 2000):
+                batcher.submit(dataclasses.replace(req, tenant=f"t{i}"),
+                               key, None, {})
+
+        tracemalloc.start()
         try:
-            req = parse_request(json.dumps(_wire_payload()).encode())
-            key = coalesce_key(req)
-            with pytest.raises(TimeoutError, match="deadline"):
-                batcher.submit(req, key, stream, kernel, {},
-                               deadline=time.monotonic() + 0.1)
-            assert batcher.inflight() == 1  # still running; not retired
+            churn(0)
+            before = tracemalloc.get_traced_memory()[0]
+            churn(2000)
+            grown = tracemalloc.get_traced_memory()[0] - before
         finally:
-            gate._fired.set()
-            stream.synchronize(timeout=5.0)
-            stream.close()
+            tracemalloc.stop()
+        assert grown < 64 * 1024, f"{grown} bytes retained by 2,000 tenants"
+        tenants = batcher.tenants()
+        assert len(tenants) == TENANT_CAPACITY
+        assert "t3999" in tenants and "t0" not in tenants
+        assert tenants["t3999"] == {"requests": 1, "launches": 1,
+                                    "coalesced": 0, "errors": 0}
+        assert batcher.inflight() == 0 and not batcher._queues
 
 
-def _park(stream: Stream) -> Event:
-    """Park ``stream``'s worker on an event that has not fired yet; set the
-    returned event's ``_fired`` to release it."""
-    gate = Event(name="gate")
-    gate._stream_name = stream.name
-    stream._enqueue(("wait", gate))
-    return gate
+#: Distinct spinning launches (never coalesced with one another).
+_SPINS = itertools.count(1)
+
+
+def _submit(batcher, payload, deadline=None):
+    req = parse_request(json.dumps(payload).encode())
+    return batcher.submit(req, coalesce_key(req),
+                          KernelSource(req.source_digest, req.source), {},
+                          deadline=deadline)
+
+
+def _hold(batcher, tenant, seconds=None):
+    """Queue a launch that never ends on ``tenant``, so the tenant's later
+    launches wait behind it; its deadline, ``seconds`` away, cancels it
+    (without one, only killing its worker ends it).  Returns the submitting
+    thread and the list the exception that ended the launch lands in."""
+    outcome = []
+    payload = {"tenant": tenant, "kernel": SPIN, "grid": 1, "block": 32,
+               "args": {"x": encode_array(np.zeros(32, dtype=np.float32)),
+                        "n": next(_SPINS)}}
+
+    def spin():
+        try:
+            _submit(batcher, payload,
+                    None if seconds is None else time.monotonic() + seconds)
+        except Exception as exc:
+            outcome.append(exc)
+
+    before = batcher.inflight()
+    thread = threading.Thread(target=spin, daemon=True)
+    thread.start()
+    _wait_for(lambda: batcher.inflight() > before)
+    return thread, outcome
+
+
+def _kill_spinner(batcher):
+    """Kill the one busy worker, which fails the launch it runs."""
+    _wait_for(lambda: _busy_pids(batcher._workers))
+    [pid] = _busy_pids(batcher._workers)
+    os.kill(pid, signal.SIGKILL)
 
 
 def _wire_payload(n=256, a=2.0, tenant="t"):
@@ -412,18 +529,20 @@ class TestServerHTTP:
         assert client.launch(SAXPY, 4, 64, _payload()["args"])["ok"]
 
     def test_deadline_expiry_504(self, server, client):
-        """Park the tenant's stream so its launch cannot run; the request's
-        own deadline must surface as 504 without wedging the server."""
-        gate = _park(server.tenants.get("slowpoke").stream)
-        try:
-            with pytest.raises(ServeError) as excinfo:
-                client.launch(SAXPY, 4, 64, _payload()["args"],
-                              tenant="slowpoke", deadline_ms=200)
-            assert excinfo.value.status == 504
-            assert excinfo.value.body["kind"] == "deadline"
-            assert client.stats()["counters"]["timeouts"] == 1
-        finally:
-            gate._fired.set()
+        """A launch queued behind a spinning one on its tenant cannot run;
+        the request's own deadline must surface as 504 without wedging the
+        server."""
+        spinner, _ = _hold(server.batcher, "slowpoke", 1.0)
+        with pytest.raises(ServeError) as excinfo:
+            client.launch(SAXPY, 4, 64, _payload()["args"],
+                          tenant="slowpoke", deadline_ms=200)
+        assert excinfo.value.status == 504
+        assert excinfo.value.body["kind"] == "deadline"
+        assert client.stats()["counters"]["timeouts"] == 1
+        spinner.join(timeout=10.0)
+        assert not spinner.is_alive()
+        assert client.launch(SAXPY, 4, 64, _payload()["args"],
+                             tenant="slowpoke")["ok"]
 
     def test_contained_fault_is_422_with_report(self, client):
         with pytest.raises(ServeError) as excinfo:
@@ -433,6 +552,8 @@ class TestServerHTTP:
         body = excinfo.value.body
         assert body["ok"] is False
         assert "out of range" in body["error"]["message"]
+        # A failed launch leaves its tenant free for the next one.
+        assert client.launch(SAXPY, 4, 64, _payload()["args"])["ok"]
 
     def test_malformed_request_400(self, server, client):
         # A non-int grid element or source that does not parse is answered
@@ -441,6 +562,13 @@ class TestServerHTTP:
                                    "block": 64},
                   {"kernel": SAXPY, "grid": 1, "block": 64,
                    "options": {"backend": "compiled"}},
+                  # Tenant names are capped at 128 characters.
+                  {"kernel": SAXPY, "grid": 1, "block": 64,
+                   "tenant": "t" * 129},
+                  # Deadlines are capped at one day: a wait on the worker's
+                  # pipe cannot take 24.8 days or more.
+                  *({"kernel": SAXPY, "grid": 1, "block": 64,
+                     "options": {"deadline_ms": ms}} for ms in (3e9, 1e13)),
                   {"kernel": "__global__ void k(float* x) { x[0] = ; }",
                    "grid": 1, "block": 1,
                    "args": {"x": encode_array(np.zeros(1, np.float32))}})
@@ -456,6 +584,10 @@ class TestServerHTTP:
         assert after["errors"] - before["errors"] == len(bodies)
         assert after["completed"] == before["completed"]
         assert server.batcher.snapshot()["launches"] == 0
+        # The refused requests' tenant still launches, and no worker is busy.
+        assert client.launch(SAXPY, 4, 64, _payload()["args"],
+                             tenant="default")["ok"]
+        assert _busy_pids(server.workers) == []
 
     def test_unknown_path_404(self, client):
         with pytest.raises(ServeError) as excinfo:
@@ -472,8 +604,8 @@ class TestServerHTTP:
         # Kept at 0 for readers of the old counter set (perfbench).
         assert stats["counters"]["shed_breaker"] == 0
         assert {"hits", "misses"} <= set(stats["kernel_cache"])
-        assert "alice" in stats["tenants"]
-        assert stats["tenants"]["alice"]["stream"] == "tenant-alice"
+        assert stats["tenants"]["alice"] == {
+            "requests": 1, "launches": 1, "coalesced": 0, "errors": 0}
         assert stats["batcher"]["launches"] >= 1
         kinds = [e["kind"] for e in stats["events"]]
         assert "arrive" in kinds and "admit" in kinds and "complete" in kinds
@@ -489,28 +621,94 @@ class TestServerHTTP:
         assert "profile_name" not in resp
         assert [n for n in profile_names() if n.startswith("serve/")] == []
 
-    def test_idle_tenant_threads_exit(self, client):
-        """20 new tenant names leave no thread behind once idle."""
-        from repro.gpusim.stream import IDLE_LINGER_S
+    def test_idle_tenant_threads_exit(self, server):
+        """20 new tenant names start no thread: over one keep-alive
+        connection, the server's thread count right after them equals the
+        count before."""
+        conn = http.client.HTTPConnection(*server.server_address[:2],
+                                          timeout=30.0)
 
-        before = client.stats()["server"]["threads"]
-        for i in range(20):
-            client.launch(SAXPY, 4, 64, _wire_args_n(64), tenant=f"idle{i}")
-        deadline = time.monotonic() + IDLE_LINGER_S + 10.0
-        while (client.stats()["server"]["threads"] > before
-               and time.monotonic() < deadline):
-            time.sleep(0.1)
-        assert client.stats()["server"]["threads"] <= before
-        resp = client.launch(SAXPY, 4, 64, _wire_args_n(64), tenant="idle0")
-        assert resp["ok"]
+        def call(method, path, body=None):
+            conn.request(method, path, body,
+                         {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
 
-    def test_per_tenant_streams_fifo(self, server, client):
-        """Each tenant's requests run on its own named stream."""
-        client.launch(SAXPY, 4, 64, _payload()["args"], tenant="a")
-        client.launch(SAXPY, 4, 64, _payload()["args"], tenant="b")
-        tenants = client.stats()["tenants"]
-        assert tenants["a"]["stream"] == "tenant-a"
-        assert tenants["b"]["stream"] == "tenant-b"
+        try:
+            before = call("GET", "/statz")[1]["server"]["threads"]
+            for i in range(20):
+                status, _ = call("POST", "/v1/launch", json.dumps(
+                    _wire_payload(n=64, tenant=f"idle{i}")).encode())
+                assert status == 200
+            assert call("GET", "/statz")[1]["server"]["threads"] == before
+        finally:
+            conn.close()
+
+    def test_per_tenant_fifo(self, server, client, monkeypatch):
+        """A tenant's launches run one at a time in arrival order: B and C,
+        queued behind a spinning launch, start only once its deadline
+        cancelled it, C only after B finished, while another tenant's
+        launch runs meanwhile."""
+        workers = server.workers
+        events, running = [], {}
+        start, result, kill = workers.start, workers.result, workers.kill
+
+        def spy_start(worker, kernel, grid, block, args, kwargs):
+            running[worker] = args.get("a")
+            events.append(("start", running[worker]))
+            start(worker, kernel, grid, block, args, kwargs)
+
+        def spy_result(worker, where):
+            reply = result(worker, where)
+            events.append(("done", running.pop(worker)))
+            return reply
+
+        def spy_kill(worker):
+            events.append(("kill", running.pop(worker)))
+            kill(worker)
+
+        monkeypatch.setattr(workers, "start", spy_start)
+        monkeypatch.setattr(workers, "result", spy_result)
+        monkeypatch.setattr(workers, "kill", spy_kill)
+        statuses = {}
+
+        def send(name, kernel, args, **options):
+            try:
+                ServeClient(client.base_url).launch(
+                    kernel, 1, 64, args, tenant="fifo", **options)
+                statuses[name] = 200
+            except ServeError as exc:
+                statuses[name] = exc.status
+
+        spinner = threading.Thread(target=send, args=(
+            "spin", SPIN, _spin_args()), kwargs={"deadline_ms": 1500})
+        spinner.start()
+        _wait_for(lambda: _busy_pids(workers))
+        [pid] = _busy_pids(workers)
+        queued = []
+        for name, a in (("B", 3.0), ("C", 4.0)):
+            queued.append(threading.Thread(target=send, args=(
+                name, SAXPY, dict(_wire_args_n(64), a=a))))
+            queued[-1].start()
+            _wait_for(lambda: server.batcher.launches == len(queued) + 1)
+        others = 0
+        if len(client.stats()["workers"]) >= 2:
+            assert client.launch(SAXPY, 1, 64, dict(_wire_args_n(64), a=5.0),
+                                 tenant="other")["ok"]
+            others = 1
+        # Neither B nor C started while the spinner runs.
+        assert _busy_pids(workers) == [pid]
+        assert sum(w["launches"] for w in client.stats()["workers"]) == others
+        assert [e for e in events if e[1] != 5.0] == [("start", None)]
+        for t in (spinner, *queued):
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        assert statuses == {"spin": 504, "B": 200, "C": 200}
+        # The spinner's cancel frees its tenant before its worker is killed.
+        assert ("kill", None) in events
+        assert [e for e in events if e[1] != 5.0 and e[0] != "kill"] == [
+            ("start", None), ("start", 3.0), ("done", 3.0), ("start", 4.0),
+            ("done", 4.0)]
 
     def test_counter_invariant(self, client):
         for i in range(3):
@@ -521,31 +719,42 @@ class TestServerHTTP:
         assert counters["admitted"] >= counters["completed"]
 
     def test_drain_refuses_new_tenants(self, server, client):
+        """A request that reaches the dispatcher after the drain began is
+        answered 503 draining, and no worker runs anything for it."""
         client.launch(SAXPY, 4, 64, _payload()["args"], tenant="early")
-        assert server.tenants.close_all(5.0)
-        with pytest.raises(RuntimeError, match="draining|closed"):
-            server.tenants.get("latecomer")
+        assert server.batcher.drain(5.0)
+        with pytest.raises(Draining):
+            _submit(server.batcher, _wire_payload(tenant="latecomer"))
+        with pytest.raises(ServeError) as excinfo:
+            client.launch(SAXPY, 4, 64, _wire_args_n(64), tenant="latecomer")
+        assert excinfo.value.status == 503
+        assert excinfo.value.body["kind"] == "draining"
+        assert excinfo.value.retry_after is not None
+        assert sum(w["launches"] for w in client.stats()["workers"]) == 1
+        assert "latecomer" not in client.stats()["tenants"]
 
     def test_drain_finishes_within_timeout(self, server):
-        """Two parked tenant streams share one drain deadline: drain(0.5)
-        reports False promptly instead of waiting for either worker."""
-        gates = [_park(server.tenants.get(name).stream)
-                 for name in ("stuck-a", "stuck-b")]
+        """Two tenants held by spinning launches share one drain deadline:
+        drain(0.5) reports False promptly instead of waiting for either,
+        and both spinners end with it."""
+        spinners = [_hold(server.batcher, name, 30.0)
+                    for name in ("stuck-a", "stuck-b")]
         verdict = []
         drainer = threading.Thread(
             target=lambda: verdict.append(server.drain(0.5)), daemon=True
         )
-        try:
-            t0 = time.monotonic()
-            drainer.start()
-            drainer.join(timeout=5.0)
-            elapsed = time.monotonic() - t0
-            assert not drainer.is_alive(), "drain(0.5) blocked past 5 s"
-            assert verdict == [False]
-            assert elapsed < 2.0
-        finally:
-            for gate in gates:
-                gate._fired.set()
+        t0 = time.monotonic()
+        drainer.start()
+        drainer.join(timeout=5.0)
+        elapsed = time.monotonic() - t0
+        assert not drainer.is_alive(), "drain(0.5) blocked past 5 s"
+        assert verdict == [False]
+        assert elapsed < 2.0
+        for spinner, outcome in spinners:
+            spinner.join(timeout=5.0)
+            assert not spinner.is_alive()
+            [exc] = outcome
+            assert isinstance(exc, LaunchError), exc
 
     def test_drain_without_serve_forever_returns(self):
         """A server whose loop never started has nothing to shut down:
@@ -563,10 +772,10 @@ class TestServerHTTP:
             assert not drainer.is_alive(), "drain(0.5) blocked past 3 s"
             assert verdict == [True]
             assert elapsed < 2.0
-            # The drain closed the tenant registry all the same, and a
-            # loop started after it returns at once.
-            with pytest.raises(RuntimeError, match="draining|closed"):
-                srv.tenants.get("latecomer")
+            # The drain refuses launches all the same, and a loop started
+            # after it returns at once.
+            with pytest.raises(Draining):
+                _submit(srv.batcher, _wire_payload(tenant="latecomer"))
             loop = threading.Thread(target=srv.serve_forever, daemon=True)
             loop.start()
             loop.join(timeout=3.0)
@@ -629,8 +838,7 @@ class TestKeepAlive:
         return out
 
     def test_back_to_back_launches_do_not_stall(self, server):
-        # One unmeasured request first: the kernel cache and the tenant
-        # stream start cold.
+        # One unmeasured request first: the kernel cache starts cold.
         trips = self._round_trips(server, 13)[1:]
         assert all(resp.status == 200 and payload["ok"]
                    for _, resp, payload in trips)
@@ -674,10 +882,10 @@ def _wait_for(predicate, timeout=10.0):
         time.sleep(0.01)
 
 
-def _busy_pids(server):
-    with server.workers._cond:
-        idle = {w.pid for w in server.workers._idle}
-        return [w.pid for w in server.workers._workers if w.pid not in idle]
+def _busy_pids(workers):
+    with workers._lock:
+        idle = {w.pid for w in workers._idle}
+        return [w.pid for w in workers._workers if w.pid not in idle]
 
 
 def _alive(pid):
@@ -717,8 +925,8 @@ class TestLaunchWorkers:
 
         spinner = threading.Thread(target=spin, daemon=True)
         spinner.start()
-        _wait_for(lambda: _busy_pids(server))
-        [pid] = _busy_pids(server)
+        _wait_for(lambda: _busy_pids(server.workers))
+        [pid] = _busy_pids(server.workers)
         os.kill(pid, signal.SIGKILL)
         spinner.join(timeout=10.0)
         assert not spinner.is_alive()
@@ -726,7 +934,7 @@ class TestLaunchWorkers:
         assert exc.status == 500
         message = exc.body["error"]["message"]
         assert f"launch worker {pid} was killed by signal 9 (SIGKILL)" in message
-        assert "'tenant-victim' queue position 1" in message
+        assert "the launch of tenant 'victim' arrival 1" in message
         # The tenant's next launch runs on a fresh worker.
         assert client.launch(SAXPY, 4, 64, _payload()["args"],
                              tenant="victim")["ok"]
@@ -751,14 +959,15 @@ class TestLaunchWorkers:
 
         first = threading.Thread(target=wait, args=("first", 1000))
         first.start()
-        _wait_for(lambda: _busy_pids(server))
-        [pid] = _busy_pids(server)
+        _wait_for(lambda: _busy_pids(server.workers))
+        [pid] = _busy_pids(server.workers)
         second = threading.Thread(target=wait, args=("second", 2500))
         second.start()
         _wait_for(lambda: server.batcher.snapshot()["coalesced"] == 1)
         first.join(timeout=10.0)
         assert statuses == {"first": 504}
-        assert _busy_pids(server) == [pid], "the first expiry stopped it"
+        assert _busy_pids(server.workers) == [pid], (
+            "the first expiry stopped it")
         second.join(timeout=10.0)
         assert statuses == {"first": 504, "second": 504}
         _wait_for(lambda: sum(w["replacements"]
@@ -772,16 +981,13 @@ class TestLaunchWorkers:
 
     def test_queued_launch_whose_waiter_gave_up_is_skipped(self, server,
                                                            client):
-        stream = server.tenants.get("parked").stream
-        gate = _park(stream)
-        try:
-            with pytest.raises(ServeError) as excinfo:
-                client.launch(SAXPY, 4, 64, _payload()["args"],
-                              tenant="parked", deadline_ms=200)
-            assert excinfo.value.status == 504
-        finally:
-            gate._fired.set()
-        stream.synchronize(timeout=10.0)
+        spinner, _ = _hold(server.batcher, "parked", 1.0)
+        with pytest.raises(ServeError) as excinfo:
+            client.launch(SAXPY, 4, 64, _payload()["args"],
+                          tenant="parked", deadline_ms=200)
+        assert excinfo.value.status == 504
+        spinner.join(timeout=10.0)
+        assert not spinner.is_alive()
         assert sum(w["launches"] for w in client.stats()["workers"]) == 0
         assert client.launch(SAXPY, 4, 64, _payload()["args"],
                              tenant="parked")["ok"]
@@ -823,7 +1029,7 @@ class TestLaunchWorkers:
         assert counters["launches"] + counters["coalesced"] == 24
         workers = client.stats()["workers"]
         assert sum(w["launches"] for w in workers) == counters["launches"]
-        assert _busy_pids(server) == []
+        assert _busy_pids(server.workers) == []
 
     def test_drain_kills_a_stuck_worker(self):
         """A drain that times out on a running launch still leaves no
@@ -844,7 +1050,7 @@ class TestLaunchWorkers:
         spinner = threading.Thread(target=spin, daemon=True)
         try:
             spinner.start()
-            _wait_for(lambda: _busy_pids(srv))
+            _wait_for(lambda: _busy_pids(srv.workers))
             assert srv.drain(0.5) is False
             spinner.join(timeout=10.0)
             assert outcome == [500]
