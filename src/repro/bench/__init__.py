@@ -17,11 +17,13 @@ means.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import json
 import os
 import platform
+import statistics
 import time
 from collections import Counter
 from typing import Optional, Sequence
@@ -34,6 +36,24 @@ from ..kernels import BENCHMARKS
 DEFAULT_KERNELS = tuple(BENCHMARKS)
 #: Subset used by ``--quick`` (CI smoke): one cheap and one loop-heavy kernel.
 QUICK_KERNELS = ("CFD", "MC")
+#: Back-to-back cold samples per ``compile_ms`` component; the median is
+#: recorded.
+COMPILE_SAMPLES = 5
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Collect once, then keep the garbage collector off until exit: a GC
+    pause landing inside one timed window but not another would skew the
+    comparison far more than any real change."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _time_engines(bench, repeats: int) -> tuple[dict, object]:
@@ -42,26 +62,18 @@ def _time_engines(bench, repeats: int) -> tuple[dict, object]:
     Each repeat launches interp and then megablock back to back, so a host
     slowdown lands in both engines' samples rather than in one engine's
     whole window, where it would move ``speedup_megablock``.  The collector
-    is paused while the clock runs: a GC pause landing inside one backend's
-    window but not another's would skew the per-kernel ratios far more than
-    any real engine change.  Returns the best seconds per engine and the
-    last megablock result.
+    is paused while the clock runs and collects between launches.  Returns
+    the best seconds per engine and the last megablock result.
     """
     best = {"interp": float("inf"), "megablock": float("inf")}
     result = None
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
+    with _collector_paused():
         for _ in range(repeats):
             for backend in best:
                 t0 = time.perf_counter()
                 result = bench.run_baseline(backend=backend)
                 best[backend] = min(best[backend], time.perf_counter() - t0)
                 gc.collect()
-    finally:
-        if was_enabled:
-            gc.enable()
     return best, result
 
 
@@ -72,8 +84,10 @@ def _compile_split(bench) -> tuple[dict, int, str]:
     other half of the compile-vs-execute split explicitly so the JSON shows
     what a cold first launch would add.  Two components: the megablock
     lowering (``cache=False``) and the NP source-to-source transform over
-    the kernel's full variant space (variant cache cleared first, so every
-    variant compiles cold).
+    the kernel's full variant space (variant cache cleared before each
+    sample, so every variant compiles cold).  Each is the median of
+    :data:`COMPILE_SAMPLES` back-to-back samples, the collector paused as in
+    :func:`_time_engines` and nothing launched in between.
 
     Returns ``(split_ms, np_variants, variants_digest)``: the per-component
     milliseconds, how many configs compiled, and a sha256 over the emitted
@@ -85,21 +99,29 @@ def _compile_split(bench) -> tuple[dict, int, str]:
     from ..minicuda.pretty import emit_kernel
     from ..npc.pipeline import clear_variant_cache
 
-    split = {}
-    t0 = time.perf_counter()
-    compile_megablock(bench.kernel, cache=False)
-    split["megablock"] = round((time.perf_counter() - t0) * 1e3, 3)
-
-    clear_variant_cache()
     configs = bench.configs()
-    variants = []
-    t0 = time.perf_counter()
-    for config in configs:
-        try:
-            variants.append(bench.compile_variant(config))
-        except MiniCudaError:
-            continue
-    split["np_transform"] = round((time.perf_counter() - t0) * 1e3, 3)
+    samples = {"megablock": [], "np_transform": []}
+    with _collector_paused():
+        for _ in range(COMPILE_SAMPLES):
+            t0 = time.perf_counter()
+            compile_megablock(bench.kernel, cache=False)
+            samples["megablock"].append(time.perf_counter() - t0)
+            gc.collect()
+        for _ in range(COMPILE_SAMPLES):
+            clear_variant_cache()
+            variants = []
+            t0 = time.perf_counter()
+            for config in configs:
+                try:
+                    variants.append(bench.compile_variant(config))
+                except MiniCudaError:
+                    continue
+            samples["np_transform"].append(time.perf_counter() - t0)
+            gc.collect()
+    split = {
+        name: round(statistics.median(seconds) * 1e3, 3)
+        for name, seconds in samples.items()
+    }
     digest = hashlib.sha256()
     for variant in variants:
         digest.update(emit_kernel(variant.kernel).encode())
@@ -120,32 +142,14 @@ def _output_digest(result) -> str:
     return digest.hexdigest()
 
 
-def bench_kernel(name: str, repeats: int = 3, profile: bool = False) -> dict:
-    """Time one benchmark on both backends; returns a JSON-ready record.
-
-    ``profile=True`` additionally runs one *untimed* profiled launch per
-    backend (profiling hooks would distort the wall-clock comparison) and
-    records the profiles in the :mod:`repro.prof` registry as
-    ``"bench/<name>/interp"`` / ``"bench/<name>/megablock"``.
-    """
+def bench_kernel(name: str, repeats: int = 3) -> dict:
+    """Time one benchmark on both backends; returns a JSON-ready record."""
     bench = BENCHMARKS[name]()
     # Warm the kernel compile cache so lowering cost is excluded from the
     # execute columns (it is a once-per-source cost shared by every later
     # launch); the cold cost is recorded separately below.
     bench.run_baseline(backend="megablock", sample_blocks=1)
     compile_ms, np_variants, variants_digest = _compile_split(bench)
-
-    if profile:
-        from ..prof import record_profile
-
-        for backend in ("interp", "megablock"):
-            profiled = bench.run_baseline(backend=backend, profile=True)
-            record_profile(
-                f"bench/{name}/{backend}",
-                profiled.profile,
-                backend=backend,
-            )
-
     best, mega_result = _time_engines(bench, repeats)
     interp_s, mega_s = best["interp"], best["megablock"]
     return {
@@ -181,13 +185,9 @@ def _host_facts() -> dict:
 def run_bench(
     kernels: Sequence[str] = DEFAULT_KERNELS,
     repeats: int = 3,
-    profile: bool = False,
 ) -> dict:
     """Benchmark ``kernels`` and return the full report dict."""
-    records = {
-        name: bench_kernel(name, repeats=repeats, profile=profile)
-        for name in kernels
-    }
+    records = {name: bench_kernel(name, repeats=repeats) for name in kernels}
     speedups = [r["speedup_megablock"] for r in records.values()]
     report = {
         "host": _host_facts(),
@@ -199,10 +199,6 @@ def run_bench(
         "geomean_speedup": round(float(np.exp(np.mean(np.log(speedups)))), 3),
         "max_speedup": round(max(speedups), 3),
     }
-    if profile:
-        from ..prof import registry_to_json
-
-        report["profiles"] = registry_to_json()
     return report
 
 
@@ -575,12 +571,6 @@ def main(argv: Optional[list] = None) -> int:
         "unless --repeats is given",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="collect per-line profiles (untimed extra launches) and embed "
-        "them in the output JSON",
-    )
-    parser.add_argument(
         "--kernels",
         nargs="+",
         metavar="NAME",
@@ -670,7 +660,7 @@ def main(argv: Optional[list] = None) -> int:
         bad = [k for k, ok in report["verified_bit_identical"].items() if not ok]
         return 1 if bad or report["failures"] else 0
 
-    report = run_bench(kernels, repeats=args.repeats, profile=args.profile)
+    report = run_bench(kernels, repeats=args.repeats)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -1,12 +1,12 @@
-"""CLI: ``python -m repro.experiments [--fast] [--chart] [--profile]
-[--json PATH] [ids...]``."""
+"""CLI: ``python -m repro.experiments [--fast] [--chart] [--json PATH]
+[ids...]``."""
 
 import sys
 
 from . import EXPERIMENTS, run_all
 
 #: Every flag the CLI takes besides ``--json PATH``.
-FLAGS = ("--fast", "--chart", "--profile")
+FLAGS = ("--fast", "--chart")
 
 
 def main(argv: list[str]) -> int:
@@ -25,11 +25,6 @@ def main(argv: list[str]) -> int:
         return 2
     fast = "--fast" in flags
     chart = "--chart" in flags
-    profiling = "--profile" in flags
-    if profiling:
-        from . import util
-
-        util.PROFILE_LAUNCHES = True
     ids = [a for a in argv if not a.startswith("-")]
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
@@ -43,15 +38,6 @@ def main(argv: list[str]) -> int:
         print(f"wrote {json_path}")
     for result in results:
         print(result.format())
-        if profiling:
-            from ..prof import profile_names
-
-            attached = [
-                n for n in profile_names()
-                if n.startswith(result.exp_id + "/")
-            ]
-            if attached:
-                print(f"profiles attached: {', '.join(attached)}")
         if chart and result.exp_id in ("fig10", "fig12", "fig15", "fig16"):
             from .charts import chart_fig10
 

@@ -14,7 +14,7 @@ from ..gpusim.errors import SimError
 from ..kernels import BENCHMARKS
 from ..npc.config import INTRA_WARP_SLAVE_SIZES, NpConfig
 from .scales import paper_scale
-from .util import ExperimentResult, attach_profile, describe_failure, profile_kwargs
+from .util import ExperimentResult, describe_failure
 
 SLAVE_SIZES = (2, 4, 8, 16, 32)
 
@@ -35,11 +35,10 @@ def run(fast: bool = False) -> ExperimentResult:
     for name in BENCHMARKS:
         bench, sample = paper_scale(name, fast=fast)
         try:
-            base = bench.run_baseline(sample_blocks=sample, **profile_kwargs())
+            base = bench.run_baseline(sample_blocks=sample)
         except SimError as exc:
             result.add_failure(name, exc)
             continue
-        attach_profile("fig11", name, base)
         row: list[object] = [name]
         best_by_type = {"inter": 0.0, "intra": 0.0}
         for np_type in ("inter", "intra"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..kernels import LeBenchmark
 from ..npc.config import NpConfig
-from .util import ExperimentResult, attach_profile, profile_kwargs
+from .util import ExperimentResult
 
 #: (no-padding slave count, padded slave count) pairs, as in the paper.
 PAIRS = ((3, 2), (5, 4), (10, 8), (15, 16))
@@ -32,8 +32,7 @@ def run(fast: bool = False) -> ExperimentResult:
     from .scales import paper_scale
 
     bench, sample = paper_scale("LE", fast=fast)
-    base = bench.run_baseline(sample_blocks=sample, **profile_kwargs())
-    attach_profile("fig12", "LE", base)
+    base = bench.run_baseline(sample_blocks=sample)
     pairs = PAIRS[:2] if fast else PAIRS
     best = 0.0
     all_nopad_win = True

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..kernels.cublas_proxy import CublasGemvT
 from ..kernels.tmv import TmvBenchmark
 from ..npc.config import NpConfig
-from .util import ExperimentResult, attach_profile, profile_kwargs
+from .util import ExperimentResult
 
 FULL_WIDTHS = (1024, 2048, 4096, 8192, 16384)
 FAST_WIDTHS = (256, 512, 1024)
@@ -38,8 +38,7 @@ def run(fast: bool = False) -> ExperimentResult:
         t_cublas = cublas.run_baseline(sample_blocks=sample).timing.seconds
 
         bench = TmvBenchmark(width=w, height=height, block=128)
-        base = bench.run_baseline(sample_blocks=sample, **profile_kwargs())
-        attach_profile("fig13", f"TMV-w{w}", base)
+        base = bench.run_baseline(sample_blocks=sample)
         t_base = base.timing.seconds
         t_np = bench.run_variant(NP_CONFIG, sample_blocks=sample).timing.seconds
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from ..kernels.cublas_proxy import CublasGemvN, SmmMv
 from ..kernels.mv import MvBenchmark
 from ..npc.config import NpConfig
-from .util import ExperimentResult, attach_profile, profile_kwargs
+from .util import ExperimentResult
 
 FULL_HEIGHTS = (1024, 2048, 4096, 8192, 16384, 65536)
 FAST_HEIGHTS = (512, 1024, 2048)
@@ -35,8 +35,7 @@ def run(fast: bool = False) -> ExperimentResult:
         smm = SmmMv(width=width, height=h, block=128)
         t_smm = smm.run_baseline(sample_blocks=sample).timing.seconds
         bench = MvBenchmark(width=width, height=h, block=128)
-        base = bench.run_baseline(sample_blocks=sample, **profile_kwargs())
-        attach_profile("fig14", f"MV-h{h}", base)
+        base = bench.run_baseline(sample_blocks=sample)
         t_base = base.timing.seconds
         # The auto-tuner picks the slave count per problem size (§4); large
         # heights saturate the GPU, so smaller groups win there.

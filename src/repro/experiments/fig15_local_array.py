@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..kernels.le import LeBenchmark
 from ..kernels.lib import LibBenchmark
 from ..npc.config import NpConfig
-from .util import ExperimentResult, attach_profile, profile_kwargs
+from .util import ExperimentResult
 
 PLACEMENTS = ("global", "shared", "partition")
 SLAVE = 8
@@ -34,8 +34,7 @@ def run(fast: bool = False) -> ExperimentResult:
     ranks = {}
     for cls, kwargs in ((LeBenchmark, {"positions": scale}), (LibBenchmark, {"npath": scale})):
         bench = cls(**kwargs)
-        base = bench.run_baseline(sample_blocks=sample, **profile_kwargs())
-        attach_profile("fig15", bench.name, base)
+        base = bench.run_baseline(sample_blocks=sample)
         speeds = {}
         for placement in PLACEMENTS:
             config = NpConfig(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..kernels import BENCHMARKS
 from ..npc.config import NpConfig
 from .scales import paper_scale
-from .util import ExperimentResult, attach_profile, profile_kwargs
+from .util import ExperimentResult
 
 SLAVE = 8
 INTER_SIZES = (4, 8)
@@ -29,8 +29,7 @@ def run(fast: bool = False) -> ExperimentResult:
     )
     for name in BENCHMARKS:
         bench, sample = paper_scale(name, fast=fast)
-        base = bench.run_baseline(sample_blocks=sample, **profile_kwargs())
-        attach_profile("fig16", name, base)
+        base = bench.run_baseline(sample_blocks=sample)
         # Best inter-warp version = the figure's 1.0 reference.
         best_inter = None
         for s in INTER_SIZES:

@@ -9,29 +9,6 @@ from typing import Iterable, Sequence
 from ..gpusim.diagnostics import FaultReport
 from ..gpusim.errors import SimError
 
-#: When True (``python -m repro.experiments --profile``), the figure scripts
-#: run their baseline launches with per-line profiling and attach the
-#: resulting :class:`~repro.prof.counters.KernelProfile` objects to the
-#: :mod:`repro.prof` registry under ``"<exp_id>/<benchmark>"`` names.
-PROFILE_LAUNCHES = False
-
-
-def profile_kwargs() -> dict:
-    """Launch kwargs for an experiment's measurement launches."""
-    return {"profile": True} if PROFILE_LAUNCHES else {}
-
-
-def attach_profile(exp_id: str, label: str, result) -> None:
-    """Register a launch's profile (no-op for un-profiled launches)."""
-    from ..prof import record_profile
-
-    record_profile(
-        f"{exp_id}/{label}",
-        getattr(result, "profile", None),
-        kernel=getattr(result, "kernel_name", None),
-    )
-
-
 def describe_failure(exc: BaseException) -> str:
     """One-line failure summary, located when the simulator knows where."""
     if isinstance(exc, SimError):

@@ -20,7 +20,7 @@ on_error="status")`` converts the enriched exception into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 
@@ -76,9 +76,6 @@ class FaultContext:
         if self.injected:
             parts.append("injected")
         return ", ".join(parts)
-
-    def with_injected(self) -> "FaultContext":
-        return replace(self, injected=True)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ from .memory import (
     SharedArray,
     dtype_for,
 )
-from .stats import AccessTrace, KernelStats
+from .stats import KernelStats
 
 WARP_SIZE = 32
 
@@ -113,7 +113,6 @@ class WarpContext:
         env: dict,
         init_mask: np.ndarray,
         stats: KernelStats,
-        trace: AccessTrace,
         kernel_name: str = "?",
         block_idx: Optional[tuple[int, int, int]] = None,
         block_dim: Optional[tuple[int, int, int]] = None,
@@ -132,7 +131,6 @@ class WarpContext:
         self.returned = np.zeros(WARP_SIZE, dtype=bool)
         self.loop_stack: list[_LoopFrame] = []
         self.stats = stats
-        self.trace = trace
         self.kernel_name = kernel_name
         self.block_idx = block_idx
         self.block_dim = block_dim
@@ -462,7 +460,6 @@ def _load_object(ctx: WarpContext, root, indices: list[np.ndarray], mask: np.nda
         )
         if uncoalesced:
             stats.uncoalesced_accesses += 1
-        ctx.trace.record_global(root.buffer.name, txns, int(mask.sum()))
         if ctx.profile is not None:
             ctx.profile.global_access(ctx.current_loc, txns, uncoalesced, False)
         value = root.buffer.load(offsets, mask)
@@ -476,7 +473,6 @@ def _load_object(ctx: WarpContext, root, indices: list[np.ndarray], mask: np.nda
         stats.shared_load_insts += 1
         replays = coalescing.bank_conflict_replays(root.byte_addrs(flat), mask)
         stats.shared_bank_replays += replays
-        ctx.trace.record_shared(root.name, replays)
         if ctx.profile is not None:
             ctx.profile.shared_access(ctx.current_loc, replays, False)
         value = root.load(flat, mask)
@@ -542,7 +538,6 @@ def _store_object(
         )
         if uncoalesced:
             stats.uncoalesced_accesses += 1
-        ctx.trace.record_global(root.buffer.name, txns, int(mask.sum()))
         if ctx.profile is not None:
             ctx.profile.global_access(ctx.current_loc, txns, uncoalesced, True)
         root.buffer.store(offsets, mask, values)
@@ -554,7 +549,6 @@ def _store_object(
         stats.shared_store_insts += 1
         replays = coalescing.bank_conflict_replays(root.byte_addrs(flat), mask)
         stats.shared_bank_replays += replays
-        ctx.trace.record_shared(root.name, replays)
         if ctx.profile is not None:
             ctx.profile.shared_access(ctx.current_loc, replays, True)
         root.store(flat, mask, values)
@@ -992,7 +986,6 @@ class BlockExecutor:
         grid_dim: tuple[int, int, int],
         base_env: dict,
         stats: KernelStats,
-        trace: Optional[AccessTrace] = None,
         injector=None,
         linear_block: Optional[int] = None,
         synccheck: bool = False,
@@ -1006,9 +999,6 @@ class BlockExecutor:
         self.grid_dim = grid_dim
         self.base_env = base_env
         self.stats = stats
-        # `is not None` (not truthiness): a caller-provided trace must be
-        # kept even when it is empty or compares falsy.
-        self.trace = trace if trace is not None else AccessTrace()
         self.injector = injector
         self.linear_block = linear_block
         self.synccheck = synccheck
@@ -1080,7 +1070,6 @@ class BlockExecutor:
                 env,
                 mask,
                 self.stats,
-                self.trace,
                 kernel_name=self.kernel.name,
                 block_idx=self.block_idx,
                 block_dim=self.block_dim,

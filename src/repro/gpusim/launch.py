@@ -44,7 +44,7 @@ from .interp import WARP_SIZE, BlockExecutor, WarpScaffold
 from .memory import ConstArray, GlobalMemory, dtype_for
 from .occupancy import Occupancy, ResourceUsage, compute_occupancy
 from .racecheck import Sanitizer, SanitizerReport
-from .stats import AccessTrace, KernelStats
+from .stats import KernelStats
 from .timing import TimingResult, estimate_kernel_time
 
 Dim = Union[int, tuple[int, ...]]
@@ -101,7 +101,6 @@ class LaunchResult:
     timing: Optional[TimingResult]
     usage: Optional[ResourceUsage]
     gmem: GlobalMemory
-    trace: AccessTrace = field(default_factory=AccessTrace)
     sampled_blocks: Optional[int] = None
     #: The exact (ascending, deduplicated) linear block IDs executed when
     #: ``sample_blocks`` sampled the grid; None for a full-grid launch.
@@ -110,8 +109,8 @@ class LaunchResult:
     backend: str = "interp"
     #: Why a megablock launch (the default engine) executed its blocks one
     #: at a time on the interp reference engine instead of as one batch;
-    #: None when batching ran or interp was selected.  One of: "trace",
-    #: "faults", "sanitizer" (the launch needs a per-block hook that only
+    #: None when batching ran or interp was selected.  One of: "faults",
+    #: "sanitizer" (the launch needs a per-block hook that only
     #: the interpreter implements; racecheck, initcheck and synccheck all
     #: report this one), "atomic-order" (the kernel uses atomics
     #: but cannot flatten the warp axis, so the batch could not reproduce
@@ -190,9 +189,7 @@ def launch(
     args: Mapping[str, Union[np.ndarray, int, float]],
     device: DeviceSpec = GTX680,
     const_arrays: Optional[Mapping[str, np.ndarray]] = None,
-    usage: Optional[ResourceUsage] = None,
     sample_blocks: Optional[int] = None,
-    trace: bool = False,
     on_error: str = "raise",
     faults=None,
     synccheck: bool = False,
@@ -261,7 +258,6 @@ def launch(
         )
 
     stats = KernelStats()
-    access_trace = AccessTrace(enabled=trace)
     sanitizer = (
         Sanitizer(racecheck=racecheck, initcheck=initcheck)
         if (racecheck or initcheck)
@@ -354,7 +350,7 @@ def launch(
             block_ids = list(range(total_blocks))
 
         # Megablock eligibility: anything needing per-block interpreter
-        # hooks (trace, fault injection, sanitizers, synccheck) runs per
+        # hooks (fault injection, sanitizers, synccheck) runs per
         # block on interp; the reason is observable on the result.  Atomics
         # are batch-safe since the deterministic sort-by-address fold, but
         # only under the flattened (megawarp) row order — when a kernel
@@ -362,9 +358,7 @@ def launch(
         # reason "atomic-order".
         mega_program = None
         if program is not None:
-            if trace:
-                megablock_fallback = "trace"
-            elif faults is not None:
+            if faults is not None:
                 megablock_fallback = "faults"
             elif sanitizer is not None or synccheck:
                 megablock_fallback = "sanitizer"
@@ -436,7 +430,6 @@ def launch(
                     grid_dim=grid3,
                     base_env=base_env,
                     stats=stats,
-                    trace=access_trace,
                     injector=faults,
                     linear_block=linear,
                     synccheck=synccheck,
@@ -470,7 +463,6 @@ def launch(
             timing=None,
             usage=None,
             gmem=gmem,
-            trace=access_trace,
             sampled_blocks=executed or None,
             sampled_block_ids=sampled_ids,
             backend=backend_name,
@@ -488,18 +480,17 @@ def launch(
         timing_stats = stats.scaled(total_blocks / executed)
 
     # --- resources / occupancy / timing --------------------------------------
-    if usage is None:
-        if program is not None:
-            report = program.resources()
-        else:
-            from ..analysis.resources import estimate_resources
+    if program is not None:
+        report = program.resources()
+    else:
+        from ..analysis.resources import estimate_resources
 
-            report = estimate_resources(kernel)
-        usage = ResourceUsage(
-            reg_bytes_per_thread=report.reg_bytes_per_thread,
-            shared_bytes_per_block=max(report.shared_bytes_per_block, shared_bytes),
-            local_bytes_per_thread=report.local_bytes_per_thread,
-        )
+        report = estimate_resources(kernel)
+    usage = ResourceUsage(
+        reg_bytes_per_thread=report.reg_bytes_per_thread,
+        shared_bytes_per_block=max(report.shared_bytes_per_block, shared_bytes),
+        local_bytes_per_thread=report.local_bytes_per_thread,
+    )
     occupancy = compute_occupancy(device, threads_per_block, usage)
     total_warps = total_blocks * math.ceil(threads_per_block / WARP_SIZE)
     timing = estimate_kernel_time(
@@ -516,7 +507,6 @@ def launch(
         timing=timing,
         usage=usage,
         gmem=gmem,
-        trace=access_trace,
         sampled_blocks=executed if executed < total_blocks else None,
         sampled_block_ids=sampled_ids,
         backend=backend_name,

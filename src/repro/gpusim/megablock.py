@@ -649,7 +649,7 @@ class _MbLoopFrame:
 class MegaContext:
     """Per-mega-warp execution state: ``WarpContext`` with a block axis.
 
-    Carries only what the batched closures touch — trace/injector/sanitizer
+    Carries only what the batched closures touch — injector/sanitizer
     launches are never eligible for this engine.  ``rows``/``rows_any``
     cache the row reduction by mask identity: several hooks on one statement
     always receive the same mask object.
@@ -740,7 +740,7 @@ class MegaContext:
 
 # ---------------------------------------------------------------------------
 # Batched memory access (mirrors interp._load_object/_store_object minus the
-# injector/trace/sanitizer hooks — those launches are ineligible)
+# injector/sanitizer hooks — those launches are ineligible)
 #
 # Each hook first tries its full-mask path: under the full entry mask of an
 # unprofiled launch, stats come from the full-mask reductions above, bounds
@@ -1546,13 +1546,15 @@ def _mb_then_mask(ctx: MegaContext, mask: np.ndarray, cond: np.ndarray):
     return mask & cond
 
 
-def _mb_if(stmt: If) -> tuple[StmtFn, bool]:
+def _mb_if(stmt: If, profile: bool) -> tuple[StmtFn, bool]:
     loc = _stmt_loc(stmt)
     line = loc.line if loc is not None else None
     cond_fn = mb_expr(stmt.cond)
-    then_fn, then_gen = mb_block(stmt.then)
+    then_fn, then_gen = mb_block(stmt.then, profile)
     has_else = stmt.els is not None and bool(stmt.els.stmts)
-    els_fn, els_gen = mb_block(stmt.els) if has_else else (None, False)
+    els_fn, els_gen = (
+        mb_block(stmt.els, profile) if has_else else (None, False)
+    )
     is_gen = then_gen or els_gen
 
     if not is_gen:
@@ -1620,16 +1622,20 @@ def _mb_if(stmt: If) -> tuple[StmtFn, bool]:
     return gen_if, True
 
 
-def _mb_for(stmt: For) -> tuple[StmtFn, bool]:
+def _mb_for(stmt: For, profile: bool) -> tuple[StmtFn, bool]:
     loc = _stmt_loc(stmt)
     init_fn, init_gen = (
-        mb_stmt(stmt.init) if stmt.init is not None else (None, False)
+        mb_stmt(stmt.init, profile)
+        if stmt.init is not None
+        else (None, False)
     )
     cond_fn = mb_expr(stmt.cond) if stmt.cond is not None else None
     update_fn, update_gen = (
-        mb_stmt(stmt.update) if stmt.update is not None else (None, False)
+        mb_stmt(stmt.update, profile)
+        if stmt.update is not None
+        else (None, False)
     )
-    body_fn, body_gen = mb_block(stmt.body)
+    body_fn, body_gen = mb_block(stmt.body, profile)
     flow = _has_flow(stmt.body)
     is_gen = init_gen or update_gen or body_gen
 
@@ -1737,10 +1743,10 @@ def _mb_for(stmt: For) -> tuple[StmtFn, bool]:
     return gen_for, True
 
 
-def _mb_while(stmt: While) -> tuple[StmtFn, bool]:
+def _mb_while(stmt: While, profile: bool) -> tuple[StmtFn, bool]:
     loc = _stmt_loc(stmt)
     cond_fn = mb_expr(stmt.cond)
-    body_fn, body_gen = mb_block(stmt.body)
+    body_fn, body_gen = mb_block(stmt.body, profile)
     flow = _has_flow(stmt.body)
 
     if not body_gen:
@@ -1817,15 +1823,6 @@ def _mb_while(stmt: While) -> tuple[StmtFn, bool]:
     return gen_while, True
 
 
-#: True while :func:`compile_megablock` lowers a kernel in profile mode:
-#: every located statement closure is then wrapped with the per-line issue
-#: hook (the batched analogue of the hook at the top of
-#: ``interp.exec_stmt``).  Lowering is synchronous and single-threaded, so
-#: a module flag is safe and avoids threading a parameter through the whole
-#: recursive lowerer.
-_MB_PROFILE_LOWERING = False
-
-
 def _mb_wrap_profiled(fn: StmtFn, is_gen: bool, line: int) -> StmtFn:
     """Fire the per-line issue hook when the statement executes: one call
     per execution carrying the row count, total active lanes and the
@@ -1856,16 +1853,19 @@ def _mb_wrap_profiled(fn: StmtFn, is_gen: bool, line: int) -> StmtFn:
     return hook
 
 
-def mb_stmt(stmt: Stmt) -> tuple[StmtFn, bool]:
-    fn, is_gen = _mb_stmt_dispatch(stmt)
-    if _MB_PROFILE_LOWERING:
+def mb_stmt(stmt: Stmt, profile: bool) -> tuple[StmtFn, bool]:
+    """Lower one statement.  With ``profile`` every located statement
+    closure is wrapped with the per-line issue hook (the batched analogue
+    of the hook at the top of ``interp.exec_stmt``)."""
+    fn, is_gen = _mb_stmt_dispatch(stmt, profile)
+    if profile:
         loc = _stmt_loc(stmt)
         if loc is not None:
             return _mb_wrap_profiled(fn, is_gen, loc.line), is_gen
     return fn, is_gen
 
 
-def _mb_stmt_dispatch(stmt: Stmt) -> tuple[StmtFn, bool]:
+def _mb_stmt_dispatch(stmt: Stmt, profile: bool) -> tuple[StmtFn, bool]:
     loc = _stmt_loc(stmt)
     if isinstance(stmt, VarDecl):
         return _mb_decl(stmt), False
@@ -1884,7 +1884,7 @@ def _mb_stmt_dispatch(stmt: Stmt) -> tuple[StmtFn, bool]:
 
         return eval_stmt, False
     if isinstance(stmt, Block):
-        block_fn, block_gen = mb_block(stmt)
+        block_fn, block_gen = mb_block(stmt, profile)
         if not block_gen:
             def plain_nested(ctx: MegaContext, mask: np.ndarray):
                 if loc is not None:
@@ -1902,11 +1902,11 @@ def _mb_stmt_dispatch(stmt: Stmt) -> tuple[StmtFn, bool]:
 
         return gen_nested, True
     if isinstance(stmt, If):
-        return _mb_if(stmt)
+        return _mb_if(stmt, profile)
     if isinstance(stmt, For):
-        return _mb_for(stmt)
+        return _mb_for(stmt, profile)
     if isinstance(stmt, While):
-        return _mb_while(stmt)
+        return _mb_while(stmt, profile)
     if isinstance(stmt, Return):
         value_fn = mb_expr(stmt.value) if stmt.value is not None else None
 
@@ -1956,8 +1956,8 @@ def _mb_stmt_dispatch(stmt: Stmt) -> tuple[StmtFn, bool]:
     return unknown, False
 
 
-def mb_block(block: Block) -> tuple[StmtFn, bool]:
-    pairs = [mb_stmt(s) for s in block.stmts]
+def mb_block(block: Block, profile: bool) -> tuple[StmtFn, bool]:
+    pairs = [mb_stmt(s, profile) for s in block.stmts]
     if not any(gen for _, gen in pairs):
         fns = tuple(fn for fn, _ in pairs)
         if len(fns) == 1:
@@ -2048,13 +2048,7 @@ class MegaKernel:
 def _mb_lower(
     kernel: Kernel, digest: Optional[str], profile: bool = False
 ) -> MegaKernel:
-    global _MB_PROFILE_LOWERING
-    prev = _MB_PROFILE_LOWERING
-    _MB_PROFILE_LOWERING = profile
-    try:
-        body_fn, body_is_gen = mb_block(kernel.body)
-    finally:
-        _MB_PROFILE_LOWERING = prev
+    body_fn, body_is_gen = mb_block(kernel.body, profile)
     return MegaKernel(
         kernel=kernel,
         digest=digest,

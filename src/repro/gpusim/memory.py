@@ -17,8 +17,6 @@ All warp-wide operations are vectorized over the 32 lanes with numpy.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from .errors import MemoryFault
@@ -467,6 +465,3 @@ class ConstArray:
                 lanes=lanes.tolist(),
             )
         return self.data[np.where(mask, idx, 0)]
-
-
-MemoryObject = Union[GlobalBuffer, SharedArray, LocalArray, ConstArray]

@@ -4,8 +4,8 @@ The CUDA-NP master/slave rewrite moves data that one thread owned into
 shared buffers that a whole slave group touches cooperatively — exactly the
 code shape where barrier-ordering bugs (races) and reads of never-written
 shared elements creep in.  This module layers two dynamic sanitizers over
-the interpreter's existing memory hook points (the same sites that feed
-:class:`~repro.gpusim.stats.AccessTrace`):
+the interpreter's shared- and local-memory hook points (the same sites that
+feed the per-line profile):
 
 - **racecheck** keeps a per-shared-array, per-element *access shadow*: the
   last writing warp/lane, the source line of that write, and the barrier

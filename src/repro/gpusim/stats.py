@@ -9,7 +9,7 @@ replays, shuffles and barriers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -152,25 +152,3 @@ class PerWarpStats:
         if self.mem_insts == 0:
             return 0.0
         return (self.global_transactions + self.local_transactions) / self.mem_insts
-
-
-@dataclass
-class AccessTrace:
-    """Optional detailed trace of memory accesses (testing/debug aid)."""
-
-    enabled: bool = False
-    global_accesses: list[tuple[str, int, int]] = field(default_factory=list)
-    shared_accesses: list[tuple[str, int]] = field(default_factory=list)
-
-    def record_global(self, buffer_name: str, txns: int, active: int) -> None:
-        if self.enabled:
-            self.global_accesses.append((buffer_name, txns, active))
-
-    def record_shared(self, array_name: str, replays: int) -> None:
-        if self.enabled:
-            self.shared_accesses.append((array_name, replays))
-
-    def __len__(self) -> int:
-        """Recorded access count — an *empty* trace is falsy, so consumers
-        must test ``trace is not None``, never truthiness."""
-        return len(self.global_accesses) + len(self.shared_accesses)

@@ -75,7 +75,7 @@ def _run_verify(source: str, args) -> int:
 
     from ..minicuda.nodes import PointerType
     from ..minicuda.parser import parse_kernel
-    from .pipeline import verify_np
+    from ..testing.oracle import verify_transformations
 
     kernel = parse_kernel(source)
     scalars: dict[str, str] = {}
@@ -113,7 +113,7 @@ def _run_verify(source: str, args) -> int:
                 ).astype(np.int32)
         return values
 
-    report = verify_np(kernel, args.block, args.grid, make_args)
+    report = verify_transformations(kernel, args.block, args.grid, make_args)
     print(report.summary())
     return 0 if report.ok else 1
 

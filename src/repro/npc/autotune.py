@@ -171,7 +171,6 @@ def autotune(
     recombine_unrolled: bool = False,
     faults=None,
     backend: Optional[str] = None,
-    profile: bool = False,
 ) -> AutotuneReport:
     """Exhaustively explore the CUDA-NP variant space for one kernel.
 
@@ -193,11 +192,6 @@ def autotune(
     the whole search can run on the megablock or the interp engine;
     repeated searches share the variant compile cache (see
     :func:`repro.npc.pipeline.variant_cache_stats`).
-
-    ``profile=True`` runs every launch with per-line profiling and records
-    each profile in the :mod:`repro.prof` registry under
-    ``"autotune/<kernel>/baseline"`` and ``"autotune/<kernel>/<variant>"``
-    names, so a tuning table's rows can be drilled into line-by-line.
     """
     if isinstance(kernel, str):
         kernel = parse_kernel(kernel)
@@ -214,18 +208,9 @@ def autotune(
         sample_blocks=sample_blocks,
         faults=faults,
         backend=backend,
-        profile=profile,
     )
     if check_output is not None and not check_output(baseline):
         raise RuntimeError(f"baseline output check failed for {kernel.name}")
-    if profile:
-        from ..prof import record_profile
-
-        record_profile(
-            f"autotune/{kernel.name}/baseline",
-            baseline.profile,
-            kernel=kernel.name,
-        )
 
     report = AutotuneReport(kernel_name=kernel.name, baseline=baseline)
 
@@ -249,20 +234,12 @@ def autotune(
             continue
         point = _measure(
             variant, grid, make_args, device, const_arrays,
-            sample_blocks, faults, backend, profile,
+            sample_blocks, faults, backend,
         )
         if point.result is not None and point.error is None:
             point.output_ok = (
                 check_output(point.result) if check_output is not None else None
             )
-            if profile:
-                from ..prof import record_profile
-
-                record_profile(
-                    f"autotune/{kernel.name}/{config.describe()}",
-                    point.result.profile,
-                    kernel=kernel.name,
-                )
         report.points.append(point)
 
     return report
@@ -270,7 +247,7 @@ def autotune(
 
 def _measure(
     variant, grid, make_args, device, const_arrays, sample_blocks, faults,
-    backend, profile,
+    backend,
 ) -> TunePoint:
     """Launch one variant on fresh arguments and wrap the outcome."""
     try:
@@ -284,7 +261,6 @@ def _measure(
             on_error="status",
             faults=faults,
             backend=backend,
-            profile=profile,
         )
     except SimError as exc:
         # Host-side plumbing (argument binding, scratch allocation) can

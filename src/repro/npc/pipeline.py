@@ -287,28 +287,6 @@ def compile_np(
     return variant
 
 
-def verify_np(
-    kernel: Union[str, Kernel],
-    block_size: Union[int, tuple[int, ...]],
-    grid,
-    make_args,
-    configs: Optional[Sequence[NpConfig]] = None,
-    **kwargs,
-):
-    """Differentially verify every variant of ``kernel`` (compiler verify
-    mode): each :class:`NpConfig` is compiled, launched under the
-    racecheck/initcheck sanitizer on the same inputs as the baseline, and
-    checked for output equality and zero findings.  Returns a
-    :class:`~repro.testing.oracle.OracleReport`.
-    """
-    # Imported lazily: repro.testing.oracle uses this module's compile_np.
-    from ..testing.oracle import verify_transformations
-
-    return verify_transformations(
-        kernel, block_size, grid, make_args, configs=configs, **kwargs
-    )
-
-
 def pragma_constraints(kernel: Union[str, Kernel]) -> dict:
     """Collect the variant-space constraints from the kernel's pragmas."""
     if isinstance(kernel, str):

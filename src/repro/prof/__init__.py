@@ -2,8 +2,9 @@
 
 The paper's evaluation is profile-driven: Table 1 characterizes the
 benchmarks and Figs. 11-16 attribute CUDA-NP's speedups to occupancy,
-latency hiding and memory behaviour.  This package is the measurement
-substrate for those attributions:
+latency hiding and memory behaviour.  A launch reports its profile on one
+record, :attr:`~repro.gpusim.launch.LaunchResult.profile`; this package
+collects, renders and compares it:
 
 - :mod:`~repro.prof.counters` — per-source-line hotspot counters and
   per-block cost records, collected by both execution backends behind
@@ -12,21 +13,10 @@ substrate for those attributions:
   each block/warp an interval from the timing model and exports Chrome
   ``trace_event`` JSON (loadable in ``chrome://tracing`` / Perfetto);
 - :mod:`~repro.prof.report` — terminal flame/top-lines hotspot report;
-- :mod:`~repro.prof.registry` — a named-profile registry so the
-  autotuner, ``repro.bench`` and the experiment scripts can attach
-  profiles to their outputs;
 - ``python -m repro.prof`` — CLI: ``trace out.json``, ``top``, ``diff``.
 """
 
 from .counters import BlockCost, KernelProfile, LineCounters
-from .registry import (
-    ProfileEntry,
-    clear_registry,
-    get_profile,
-    profile_names,
-    record_profile,
-    registry_to_json,
-)
 from .report import top_lines_report
 from .timeline import (
     build_timeline,
@@ -39,14 +29,8 @@ __all__ = [
     "BlockCost",
     "KernelProfile",
     "LineCounters",
-    "ProfileEntry",
     "build_timeline",
     "chrome_trace",
-    "clear_registry",
-    "get_profile",
-    "profile_names",
-    "record_profile",
-    "registry_to_json",
     "save_trace",
     "serve_events",
     "top_lines_report",

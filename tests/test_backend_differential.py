@@ -8,7 +8,7 @@ full :class:`~repro.gpusim.stats.KernelStats` record, so a fast-path that
 drifted by a ULP or double-counted a transaction fails loudly.
 
 The megablock engine additionally promises an *observable* fallback: every
-launch configuration it cannot batch exactly (traces, sim-faults,
+launch configuration it cannot batch exactly (fault injection, sim-faults,
 sanitizers, order-sensitive atomics) must run per block on the interpreter
 with the reason on :attr:`LaunchResult.megablock_fallback` — and still be
 bit-identical.  A launch of one block (a one-block grid or
@@ -114,25 +114,6 @@ def test_profile_bit_identical_across_backends(benches, name, backend):
     assert not mismatches, f"{name}: " + "; ".join(mismatches[:10])
     assert ref.profile.blocks == got.profile.blocks, f"{name}: block costs"
     assert ref.profile.total_issues > 0
-
-
-def test_trace_records_identical():
-    """The access trace (per-instruction coalescing log) of a megablock
-    launch, which falls back to interp for it, matches too."""
-    src = """
-    __global__ void k(float* out, const float* a, int n) {
-        int i = blockIdx.x * blockDim.x + threadIdx.x;
-        if (i < n) out[i] = a[i] * 2.0f + 1.0f;
-    }
-    """
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal(128, dtype=np.float32)
-    args = lambda: {"out": np.zeros(128, dtype=np.float32), "a": a.copy(), "n": 128}
-    ref = run_kernel(src, 4, 32, args(), trace=True, backend="interp")
-    got = run_kernel(src, 4, 32, args(), trace=True, backend="megablock")
-    assert got.megablock_fallback == "trace"
-    assert ref.trace.global_accesses == got.trace.global_accesses
-    assert ref.trace.shared_accesses == got.trace.shared_accesses
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +222,6 @@ class TestMegablockFallbacks:
         assert not ref.profile.diff_lines(got.profile), name
         assert ref.profile.blocks == got.profile.blocks, name
         assert got.milliseconds == ref.milliseconds
-
-    def test_trace(self):
-        result = self._run(trace=True)
-        assert result.megablock_fallback == "trace"
-        ref = run_kernel(_SIMPLE, 4, 32, _simple_args(), backend="interp", trace=True)
-        assert ref.trace.global_accesses == result.trace.global_accesses
-        assert_identical(ref, result, "trace fallback")
 
     def test_faults(self):
         result = self._run(

@@ -66,13 +66,74 @@ def test_engines_alternate_within_repeats():
 
 
 @pytest.mark.parametrize("name", list(BENCHMARKS))
-def test_compile_split_emits_the_committed_variant_sources(name):
+def test_compile_split_emits_the_committed_variant_sources(name, monkeypatch):
     """Every compiled NP variant of each paper kernel emits byte-identical
-    source to the committed ``BENCH_gpusim.json`` (count and sha256)."""
+    source to the committed ``BENCH_gpusim.json`` (count and sha256).  One
+    sample suffices: only the emitted sources are checked."""
+    monkeypatch.setattr(repro.bench, "COMPILE_SAMPLES", 1)
     _, np_variants, variants_digest = _compile_split(BENCHMARKS[name]())
     committed = COMMITTED["kernels"][name]
     assert np_variants == committed["np_variants"]
     assert variants_digest == committed["variants_digest"]
+
+
+def test_compile_split_reports_the_median_of_cold_samples(monkeypatch):
+    """Each ``compile_ms`` component is the median of ``COMPILE_SAMPLES``
+    back-to-back samples taken with the collector paused; the variant
+    cache is cleared before every ``np_transform`` sample, and nothing
+    else runs between samples."""
+    import gc
+    import types
+
+    from repro.gpusim import megablock
+    from repro.npc import pipeline
+
+    assert repro.bench.COMPILE_SAMPLES == 5
+    events = []
+    durations = iter([0.005, 0.001, 0.004, 0.002, 0.003,
+                      0.010, 0.050, 0.020, 0.040, 0.030])
+    clock = {"now": 100.0, "started": False}
+
+    def perf_counter():
+        events.append("clock")
+        assert not gc.isenabled()
+        if clock["started"]:
+            clock["now"] += next(durations)
+        clock["started"] = not clock["started"]
+        return clock["now"]
+
+    real_lower = megablock.compile_megablock
+    real_clear = pipeline.clear_variant_cache
+    bench = BENCHMARKS["CFD"]()
+    real_compile = bench.compile_variant
+
+    def lower(*args, **kwargs):
+        events.append("lower")
+        return real_lower(*args, **kwargs)
+
+    def clear():
+        events.append("clear")
+        real_clear()
+
+    def compile_variant(config):
+        events.append("compile")
+        return real_compile(config)
+
+    monkeypatch.setattr(repro.bench, "time",
+                        types.SimpleNamespace(perf_counter=perf_counter))
+    monkeypatch.setattr(megablock, "compile_megablock", lower)
+    monkeypatch.setattr(pipeline, "clear_variant_cache", clear)
+    monkeypatch.setattr(bench, "compile_variant", compile_variant)
+    split, np_variants, variants_digest = _compile_split(bench)
+
+    assert split == {"megablock": 3.0, "np_transform": 30.0}
+    configs = len(bench.configs())
+    assert events == (
+        ["clock", "lower", "clock"] * 5
+        + (["clear", "clock"] + ["compile"] * configs + ["clock"]) * 5
+    )
+    assert np_variants == COMMITTED["kernels"]["CFD"]["np_variants"]
+    assert variants_digest == COMMITTED["kernels"]["CFD"]["variants_digest"]
 
 
 def test_main_quick_writes_json(tmp_path, capsys):
@@ -126,7 +187,7 @@ def test_repeats_flag_is_honoured(argv, repeats, tmp_path, monkeypatch):
     an explicit ``--repeats 3`` is not mistaken for the default."""
     seen = []
     monkeypatch.setattr(repro.bench, "run_bench",
-                        lambda kernels, repeats, profile: seen.append(repeats) or {})
+                        lambda kernels, repeats: seen.append(repeats) or {})
     monkeypatch.setattr(repro.bench, "format_report", lambda report: "")
     assert main(argv + ["--kernels", "CFD", "--out", str(tmp_path / "b.json")]) == 0
     assert seen == [repeats]

@@ -6,6 +6,14 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _fallback_sentence(doc: str) -> str:
+    """The sentence of ``doc`` that lists the megablock fallback reasons:
+    from its first backticked ``LaunchResult.megablock_fallback`` to the
+    next full stop."""
+    start = doc.index("`LaunchResult.megablock_fallback`")
+    return re.match(r"(.*?)\.\s", doc[start:], re.S).group(1)
+
+
 class TestReadme:
     def test_quickstart_code_block_runs(self):
         """Execute the README's quickstart block verbatim."""
@@ -110,7 +118,12 @@ class TestReadme:
         launcher can emit."""
         import inspect
 
-        from repro.gpusim.launch import LaunchResult, default_backend, launch
+        from repro.gpusim.launch import (
+            BACKENDS,
+            LaunchResult,
+            default_backend,
+            launch,
+        )
         from repro.serve import protocol
 
         readme = (ROOT / "README.md").read_text()
@@ -132,12 +145,22 @@ class TestReadme:
         launch_src = inspect.getsource(
             __import__("repro.gpusim.launch", fromlist=["launch"])
         )
-        # "atomic-order" is the megablock ladder's atomics reason (order-free
-        # atomics batch).
-        for reason in ("trace", "faults", "sanitizer", "atomic-order",
-                       "sim-fault"):
-            assert f'"{reason}"' in readme, reason
-            assert f'"{reason}"' in launch_src, reason
+        # The reasons are the ladder's assignments; README, DESIGN and the
+        # field's doc comment name exactly those, no more and no fewer.
+        reasons = set(re.findall(r'megablock_fallback = "([^"]+)"', launch_src))
+        assert reasons
+        field_doc = re.search(
+            r"((?:\n[ ]*#:[^\n]*)+)\n[ ]*megablock_fallback:",
+            inspect.getsource(LaunchResult),
+        ).group(1)
+        design = (ROOT / "DESIGN.md").read_text()
+        for where, text in (
+            ("README", _fallback_sentence(readme)),
+            ("DESIGN", _fallback_sentence(design)),
+            ("LaunchResult.megablock_fallback", field_doc),
+        ):
+            named = set(re.findall(r'"([a-z][a-z-]*)"', text)) - set(BACKENDS)
+            assert named == reasons, where
         # One-block launches batch; the removed reason stays removed.
         assert '"single-block"' not in readme
         assert '"single-block"' not in launch_src

@@ -15,6 +15,9 @@ def test_unknown_experiment_rejected(capsys, monkeypatch):
     # An unknown flag is named and nothing runs, also next to a valid id.
     assert main(["--bogus", "fig01"]) == 2
     assert "unknown flags: ['--bogus']" in capsys.readouterr().out
+    # The removed --profile flag is one of them.
+    assert main(["--profile", "fig01"]) == 2
+    assert "unknown flags: ['--profile']" in capsys.readouterr().out
 
 
 def test_single_fast_experiment(capsys):

@@ -319,6 +319,98 @@ class TestKernelCompileCache:
         assert compile_megablock(k) is plain
         assert compile_megablock(k, profile=True) is prof
 
+    def test_interleaved_lowerings_keep_their_own_hooks(self, monkeypatch):
+        """Lowering is a pure function of its inputs.  A plain lowering on
+        one thread, paused at its first statement while a profiled lowering
+        of the same kernel starts on another, finishes first; each artifact
+        still gets exactly its own per-line hooks, and the cached profiled
+        one profiles like interp."""
+        import threading
+
+        from repro.gpusim import megablock
+
+        src = """
+__global__ void r(float *o, const float *a) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    float acc = 0.0f;
+    for (int k = 0; k < 4; k++) {
+        acc += a[i] * k;
+    }
+    if (i % 3 == 0) {
+        acc = -acc;
+    }
+    o[i] = acc;
+}
+"""
+        plain_paused = threading.Event()
+        profiled_started = threading.Event()
+        plain_done = threading.Event()
+        errors = []
+        gated = set()
+        wraps = {"plain": 0, "profiled": 0}
+        real_stmt = megablock.mb_stmt
+        real_wrap = megablock._mb_wrap_profiled
+
+        def wait(event):
+            if not event.wait(10):
+                errors.append(f"{threading.current_thread().name} timed out")
+
+        def gate(stmt, *args):
+            name = threading.current_thread().name
+            if name not in gated:
+                gated.add(name)
+                if name == "plain":
+                    plain_paused.set()
+                    wait(profiled_started)
+                elif name == "profiled":
+                    profiled_started.set()
+                    wait(plain_done)
+            return real_stmt(stmt, *args)
+
+        def counting_wrap(*args):
+            name = threading.current_thread().name
+            if name in wraps:
+                wraps[name] += 1
+            return real_wrap(*args)
+
+        def lower(profile):
+            try:
+                compile_megablock(parse_kernel(src), profile=profile)
+            except Exception as exc:
+                errors.append(repr(exc))
+            finally:
+                if not profile:
+                    plain_done.set()
+
+        monkeypatch.setattr(megablock, "mb_stmt", gate)
+        monkeypatch.setattr(megablock, "_mb_wrap_profiled", counting_wrap)
+        plain = threading.Thread(target=lower, args=(False,), name="plain")
+        profiled = threading.Thread(target=lower, args=(True,), name="profiled")
+        plain.start()
+        assert plain_paused.wait(10)
+        profiled.start()
+        plain.join(30)
+        profiled.join(30)
+        assert not plain.is_alive() and not profiled.is_alive()
+        assert errors == []
+        monkeypatch.undo()
+
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(128).astype(np.float32)
+
+        def run(backend):
+            return run_kernel(
+                src, 2, 64, {"o": np.zeros(128, np.float32), "a": a.copy()},
+                backend=backend, profile=True,
+            )
+
+        ref, got = run("interp"), run("megablock")
+        assert got.megablock_fallback is None
+        assert ref.profile.diff_lines(got.profile) == []
+        assert got.profile.total_issues == ref.profile.total_issues > 0
+        assert wraps["plain"] == 0
+        assert wraps["profiled"] > 0
+
     def test_variant_breakdown(self):
         """Cache growth is observable per variant suffix (base / #prof)."""
         k = parse_kernel(SRC_A)
@@ -378,7 +470,7 @@ class TestResourceReportCache:
 
     @pytest.mark.parametrize(
         "kwargs, fallback",
-        [({}, None), ({"trace": True}, "trace")],
+        [({}, None), ({"racecheck": True}, "sanitizer")],
         ids=["megablock", "fallback"],
     )
     def test_second_launch_reuses_report(self, estimates, kwargs, fallback):

@@ -7,8 +7,8 @@ from repro.gpusim.errors import IntrinsicError, SimError
 from repro.gpusim.launch import run_kernel
 
 
-def run(src, grid=1, block=32, trace=False, **args):
-    return run_kernel(src, grid, block, args, trace=trace)
+def run(src, grid=1, block=32, **args):
+    return run_kernel(src, grid, block, args)
 
 
 class TestBasics:
@@ -331,14 +331,3 @@ class TestStats:
         )
         assert res.stats.warps_executed == 2
         assert res.buffer("o").sum() == 40
-
-    def test_trace_records_accesses(self):
-        res = run(
-            "__global__ void t(float *a, float *o) {"
-            " o[threadIdx.x] = a[threadIdx.x]; }",
-            trace=True,
-            a=np.zeros(32, np.float32),
-            o=np.zeros(32, np.float32),
-        )
-        names = {name for name, _, _ in res.trace.global_accesses}
-        assert names == {"a", "o"}

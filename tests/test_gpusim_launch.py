@@ -217,20 +217,6 @@ class TestBlockSampling:
 
 
 class TestUsageOverride:
-    def test_explicit_usage_controls_occupancy(self):
-        from repro.gpusim.occupancy import ResourceUsage
-
-        args = {
-            "src": np.zeros(64, np.float32),
-            "dst": np.zeros(64, np.float32),
-            "n": 64,
-        }
-        res = run_kernel(
-            COPY, 2, 32, args, usage=ResourceUsage(4 * 63, 24 * 1024, 0)
-        )
-        assert res.occupancy.blocks_per_smx == 2
-        assert res.occupancy.limiting_factor == "shared"
-
     def test_estimated_usage_includes_shared_decls(self):
         src = (
             "__global__ void t(float *o) {"

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.gpusim import Sanitizer, SanitizerReport, run_kernel
-from repro.gpusim.stats import AccessTrace
 from repro.npc.config import NpConfig
 from repro.npc.pipeline import compile_np
 from repro.npc.autotune import launch_variant
@@ -319,33 +318,3 @@ __global__ void bcast_race(float *out) {
         res = run_kernel(src, 1, 32, {"o": np.zeros(8, np.float32)},
                          on_error="status")
         assert "Invalid global access" in res.error.render()
-
-
-class TestTraceRegression:
-    def test_empty_enabled_trace_is_kept(self):
-        # AccessTrace defines __len__, so an *empty but enabled* trace is
-        # falsy; BlockExecutor must test `is not None`, not truthiness.
-        trace = AccessTrace(enabled=True)
-        assert len(trace) == 0 and not trace
-        from repro.gpusim.interp import BlockExecutor
-        from repro.minicuda.parser import parse_kernel
-        from repro.gpusim.stats import KernelStats
-        from repro.gpusim.memory import GlobalMemory
-
-        kernel = parse_kernel(
-            "__global__ void id(float *o) { o[threadIdx.x] = 1.0f; }"
-        )
-        gmem = GlobalMemory()
-        buf = gmem.alloc("o", np.zeros(32, np.float32))
-        executor = BlockExecutor(
-            kernel,
-            block_idx=(0, 0, 0),
-            block_dim=(32, 1, 1),
-            grid_dim=(1, 1, 1),
-            base_env={"o": buf},
-            stats=KernelStats(),
-            trace=trace,
-        )
-        assert executor.trace is trace  # identity preserved despite falsiness
-        executor.run()
-        assert len(trace) == 1  # and the caller's object received the records

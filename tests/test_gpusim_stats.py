@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim.stats import AccessTrace, KernelStats, PerWarpStats
+from repro.gpusim.stats import KernelStats, PerWarpStats
 
 
 def filled_stats():
@@ -67,18 +67,3 @@ class TestAggregates:
         pw = s.per_warp()
         bare = s.alu_insts + s.control_insts
         assert pw.comp_insts * s.warps_executed > bare
-
-
-class TestTrace:
-    def test_disabled_records_nothing(self):
-        t = AccessTrace(enabled=False)
-        t.record_global("a", 2, 32)
-        t.record_shared("s", 1)
-        assert t.global_accesses == [] and t.shared_accesses == []
-
-    def test_enabled_records(self):
-        t = AccessTrace(enabled=True)
-        t.record_global("a", 2, 32)
-        t.record_shared("s", 1)
-        assert t.global_accesses == [("a", 2, 32)]
-        assert t.shared_accesses == [("s", 1)]

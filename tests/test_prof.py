@@ -1,9 +1,9 @@
-"""Profiling layer: counters, timeline export, reports, registry, CLI.
+"""Profiling layer: counters, timeline export, reports, CLI.
 
 The collection hooks themselves are covered by the backend-differential
 suite (profiles must be bit-identical between engines); this module covers
 the offline side — merging, the Chrome ``trace_event`` exporter, the
-terminal report, the named-profile registry — plus the launch-level
+terminal report — plus the launch-level
 ``profile=True`` contract on a small kernel.
 """
 
@@ -19,11 +19,6 @@ from repro.prof import (
     LineCounters,
     build_timeline,
     chrome_trace,
-    clear_registry,
-    get_profile,
-    profile_names,
-    record_profile,
-    registry_to_json,
     save_trace,
     top_lines_report,
 )
@@ -219,36 +214,6 @@ class TestReport:
     def test_empty_profile_degrades_gracefully(self):
         text = top_lines_report(KernelProfile(kernel="empty"))
         assert "no attributed lines" in text
-
-
-class TestRegistry:
-    def setup_method(self):
-        clear_registry()
-
-    def teardown_method(self):
-        clear_registry()
-
-    def test_record_fetch_and_list(self):
-        p = KernelProfile(kernel="k")
-        p.stmt(1, 32)
-        record_profile("bench/k/megablock", p, backend="megablock")
-        entry = get_profile("bench/k/megablock")
-        assert entry is not None and entry.profile is p
-        assert entry.meta == {"backend": "megablock"}
-        assert profile_names() == ["bench/k/megablock"]
-
-    def test_none_profile_is_noop(self):
-        assert record_profile("x", None) is None
-        assert profile_names() == []
-
-    def test_json_snapshot(self):
-        p = KernelProfile(kernel="k")
-        p.stmt(2, 16)
-        record_profile("a", p)
-        snap = registry_to_json()
-        assert snap["a"]["kernel"] == "k"
-        assert snap["a"]["profile"]["lines"]["2"]["inst_issues"] == 1
-        json.dumps(snap)  # fully serializable
 
 
 class TestCli:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.kernels import BENCHMARKS
 from repro.npc.config import NpConfig
-from repro.npc.pipeline import verify_np
 from repro.testing import (
     OracleReport,
     VariantVerdict,
@@ -81,7 +80,11 @@ class TestOracleOnCleanKernel:
         assert report.ok
 
     def test_verify_np_pipeline_entry_point(self):
-        report = verify_np(DOTS, 8, 2, dots_args, configs=SMALL_CONFIGS)
+        """The compiler's verify mode (``python -m repro.npc --verify``)
+        runs the oracle over the given configs."""
+        report = verify_transformations(
+            DOTS, 8, 2, dots_args, configs=SMALL_CONFIGS
+        )
         assert isinstance(report, OracleReport)
         assert report.ok
         assert "0 failing" in report.summary()
